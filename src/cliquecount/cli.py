@@ -9,8 +9,8 @@ Subcommands:
 Counts go to stdout or --output as CSV (default) or JSON; the run report
 (sizes, degeneracy, clique-tree shape, per-phase wall times) goes to
 stderr or --report as JSON. Exit codes: 0 success, 1 runtime failure
-(parse error, size cap, counter overflow), 2 usage error, 3 verification
-mismatch.
+(input file missing or unreadable, parse error, size cap, counter
+overflow), 2 usage error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ class RunReport:
 
 
 def _load(path: str) -> Graph:
-    if path == "-":
-        return load_edge_list(sys.stdin)
-    return load_edge_list(path)
+    try:
+        if path == "-":
+            # Bytes, so that a line that is not UTF-8 is reported by number.
+            return load_edge_list(getattr(sys.stdin, "buffer", sys.stdin))
+        return load_edge_list(path)
+    except OSError as exc:
+        raise CliqueCountError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _auto_threads(n: int) -> int:
@@ -173,7 +177,8 @@ def cmd_count(args) -> int:
     t1 = time.perf_counter()
     orientation = degeneracy_orient(graph)
     t2 = time.perf_counter()
-    threads = args.threads if args.threads else _auto_threads(graph.n)
+    local = args.per_vertex or args.per_edge
+    threads = args.threads or (1 if local else _auto_threads(graph.n))
     tables = counting.count(
         graph, per_vertex=args.per_vertex, per_edge=args.per_edge,
         max_k=args.max_k, threads=threads, counters=args.counters,
@@ -188,7 +193,8 @@ def cmd_count(args) -> int:
     if args.per_edge:
         mode += "+per-edge"
     report = RunReport(
-        input=args.input, n=graph.n, m=graph.m, mode=mode, threads=threads,
+        input=args.input, n=graph.n, m=graph.m, mode=mode,
+        threads=1 if local else threads,
         max_k=args.max_k, counters=args.counters, alpha=orientation.alpha,
         max_clique_size=tables.max_clique_size(),
         sct_node_count=tables.stats.node_count,
@@ -288,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="count clique sizes up to K only")
     count_p.add_argument("--threads", type=int, default=None, metavar="N",
                          help="worker processes for global counting "
-                              "(default: all cores on large graphs)")
+                              "(default: all cores for a global-only count "
+                              "of a large graph, else 1)")
     count_p.add_argument("--format", choices=("csv", "json"), default="csv")
     count_p.add_argument("--output", default=None, metavar="PATH",
                          help="write counts here instead of stdout")

@@ -11,6 +11,7 @@ whose counts fit 64 bits.
 from __future__ import annotations
 
 import logging
+from operator import add
 from typing import Sequence
 
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
@@ -95,27 +96,6 @@ class CountTables:
 
     # -- mutation --------------------------------------------------------
 
-    def _bump_global(self, k: int, amount: int) -> None:
-        tbl = self.global_counts
-        while len(tbl) <= k:
-            tbl.append(0)
-        tbl[k] += amount
-
-    def _bump_vertex(self, v: int, k: int, amount: int) -> None:
-        row = self.per_vertex[v]
-        while len(row) <= k:
-            row.append(0)
-        row[k] += amount
-
-    def _bump_edge(self, u: int, v: int, k: int, amount: int) -> None:
-        if u > v:
-            u, v = v, u
-        row = self.per_edge[self.edge_index[(u, v)]]
-        i = k - 2
-        while len(row) <= i:
-            row.append(0)
-        row[i] += amount
-
     def _trim(self, max_k: int | None) -> None:
         """Drop truncation garbage past max_k, then trailing zeros."""
         if max_k is not None:
@@ -145,6 +125,14 @@ class CountTables:
                     raise CounterOverflowError()
 
 
+def _add_row(row: list[int], start: int, values: list[int]) -> None:
+    """Add ``values`` into ``row`` from index ``start``, growing it to fit."""
+    end = start + len(values)
+    if len(row) < end:
+        row.extend([0] * (end - len(row)))
+    row[start:end] = map(add, row[start:end], values)
+
+
 def accumulate_leaf(tables: CountTables, hold: Sequence[int],
                     pivots: Sequence[int], binomial: list[list[int]],
                     max_k: int | None = None) -> int:
@@ -160,60 +148,59 @@ def accumulate_leaf(tables: CountTables, hold: Sequence[int],
       edge within pivots: c_{h+i+2}(e) += C(p-2, i)  for 0 <= i <= p-2
 
     ``max_k`` caps the target clique size; increments beyond it are skipped.
+    Each rule adds one binomial row, cut at ``max_k``, to each table row it
+    touches in a single slice operation; rows grow only as far as the last
+    k they receive.
     """
     h = len(hold)
     p = len(pivots)
-    applied = 0
 
-    def span(width, shift):
-        # Largest i (inclusive) for increments landing at k = h + i + shift.
-        hi = width
+    def cut(width, shift):
+        # C(width, i) for each i whose k = h + i + shift is at most max_k.
+        row = binomial[width]
         if max_k is not None:
-            hi = min(hi, max_k - h - shift)
-        return hi
+            return row[:max(0, max_k - h - shift + 1)]
+        return row
 
-    row_p = binomial[p]
-    hi = span(p, 0)
-    for i in range(hi + 1):
-        tables._bump_global(h + i, row_p[i])
-        applied += 1
+    row0 = cut(p, 0)
+    row1 = cut(p - 1, 1) if p >= 1 else []
+    row2 = cut(p - 2, 2) if p >= 2 else []
+    n0, n1, n2 = len(row0), len(row1), len(row2)
+    if n0:
+        _add_row(tables.global_counts, h, row0)
+    applied = n0
 
-    if tables.per_vertex is not None:
-        for v in hold:
-            for i in range(hi + 1):
-                tables._bump_vertex(v, h + i, row_p[i])
-                applied += 1
-        if p:
-            row_p1 = binomial[p - 1]
-            hi1 = span(p - 1, 1)
+    per_vertex = tables.per_vertex
+    if per_vertex is not None:
+        if n0:
+            for v in hold:
+                _add_row(per_vertex[v], h, row0)
+        if n1:
             for v in pivots:
-                for i in range(hi1 + 1):
-                    tables._bump_vertex(v, h + i + 1, row_p1[i])
-                    applied += 1
+                _add_row(per_vertex[v], h + 1, row1)
+        applied += h * n0 + p * n1
 
-    if tables.per_edge is not None:
-        for a in range(h):
-            for b in range(a + 1, h):
-                for i in range(hi + 1):
-                    tables._bump_edge(hold[a], hold[b], h + i, row_p[i])
-                    applied += 1
-        if p:
-            row_p1 = binomial[p - 1]
-            hi1 = span(p - 1, 1)
+    per_edge = tables.per_edge
+    if per_edge is not None:
+        # Per-edge rows start at k = 2.
+        edge_index = tables.edge_index
+        if n0:
+            ordered = sorted(hold)
+            for a, u in enumerate(ordered):
+                for v in ordered[a + 1:]:
+                    _add_row(per_edge[edge_index[u, v]], h - 2, row0)
+        if n1:
             for u in pivots:
                 for v in hold:
-                    for i in range(hi1 + 1):
-                        tables._bump_edge(u, v, h + i + 1, row_p1[i])
-                        applied += 1
-        if p >= 2:
-            row_p2 = binomial[p - 2]
-            hi2 = span(p - 2, 2)
-            for a in range(p):
-                for b in range(a + 1, p):
-                    for i in range(hi2 + 1):
-                        tables._bump_edge(pivots[a], pivots[b], h + i + 2,
-                                          row_p2[i])
-                        applied += 1
+                    key = (u, v) if u < v else (v, u)
+                    _add_row(per_edge[edge_index[key]], h - 1, row1)
+        if n2:
+            ordered = sorted(pivots)
+            for a, u in enumerate(ordered):
+                for v in ordered[a + 1:]:
+                    _add_row(per_edge[edge_index[u, v]], h, row2)
+        applied += (h * (h - 1) // 2 * n0 + p * h * n1
+                    + p * (p - 1) // 2 * n2)
     return applied
 
 

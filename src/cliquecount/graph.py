@@ -136,6 +136,15 @@ def _build_csr(n, u, v):
     return offsets, neighbors
 
 
+def _decode(line: bytes, line_number: int) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(
+            line_number, f"not valid UTF-8 (byte {line[exc.start]:#04x} "
+                         f"at column {exc.start + 1})") from None
+
+
 def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, str):
         # Strings with a newline (and the empty string) are inline content;
@@ -146,18 +155,26 @@ def _iter_lines(source) -> Iterator[str]:
             return
         if source.endswith(".gz"):
             import gzip
-            with gzip.open(source, "rt", encoding="utf-8") as fh:
+            opener = gzip.open
+        else:
+            opener = open
+        try:
+            with opener(source, "rt", encoding="utf-8") as fh:
                 yield from fh
-            return
-        with open(source, "rt", encoding="utf-8") as fh:
-            yield from fh
+        except UnicodeDecodeError:
+            # Text mode decodes in chunks and cannot tell the line; a
+            # second, binary pass finds it (lines split on b"\n", which no
+            # multi-byte UTF-8 sequence contains).
+            with opener(source, "rb") as fh:
+                for line_number, line in enumerate(fh, start=1):
+                    _decode(line, line_number)
+            raise
         return
     if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-        return
-    for line in source:
+        source = io.BytesIO(source)
+    for line_number, line in enumerate(source, start=1):
         if isinstance(line, bytes):
-            line = line.decode("utf-8")
+            line = _decode(line, line_number)
         yield line
 
 

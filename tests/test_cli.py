@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -118,6 +119,48 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+def run_cli_process(*argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "cliquecount.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "line 2: not valid UTF-8"),
+])
+def test_input_file_errors_are_one_line(tmp_path, case, reason):
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"0 1\n1 \xff\n")
+    result = run_cli_process("count", str(path))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and reason in lines[0]
+    if case != "not-utf8":
+        assert lines[0] == f"error: {path}: {reason}"
+
+
+def test_local_count_reports_the_one_thread_it_ran(capsys, tmp_path,
+                                                   monkeypatch, caplog):
+    monkeypatch.setattr(cli, "PARALLEL_AUTO_THRESHOLD", 1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    path = write_graph(tmp_path, complete_graph(5))
+    report_path = tmp_path / "report.json"
+    with caplog.at_level("WARNING"):
+        code, _, err = run_cli(capsys, "count", path, "--per-vertex",
+                               "--report", str(report_path))
+    assert code == 0
+    assert json.loads(report_path.read_text())["threads"] == 1
+    assert "WARNING" not in err and not caplog.records
 
 
 def test_usage_error_exit_code(triangle_file):

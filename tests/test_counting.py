@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -57,6 +59,94 @@ def test_accumulate_leaf_respects_max_k():
     assert tables.vertex_count(1, 2) == 1
     assert tables.edge_count(1, 2, 3) == 0
     assert applied > 0
+
+
+def _reference_accumulate(tables, hold, pivots, max_k):
+    """The six increment rules of accumulate_leaf, one increment at a time."""
+    h, p = len(hold), len(pivots)
+    comb = math.comb
+
+    def edge(u, v):
+        return tables.per_edge[tables.edge_index[min(u, v), max(u, v)]]
+
+    # (row, k stored at row[0], k, amount)
+    increments = [(tables.global_counts, 0, h + i, comb(p, i))
+                  for i in range(p + 1)]
+    if tables.per_vertex is not None:
+        for v in hold:
+            increments += [(tables.per_vertex[v], 0, h + i, comb(p, i))
+                           for i in range(p + 1)]
+        for v in pivots:
+            increments += [(tables.per_vertex[v], 0, h + i + 1, comb(p - 1, i))
+                           for i in range(p)]
+    if tables.per_edge is not None:
+        for u, v in itertools.combinations(hold, 2):
+            increments += [(edge(u, v), 2, h + i, comb(p, i))
+                           for i in range(p + 1)]
+        for u in hold:
+            for v in pivots:
+                increments += [(edge(u, v), 2, h + i + 1, comb(p - 1, i))
+                               for i in range(p)]
+        for u, v in itertools.combinations(pivots, 2):
+            increments += [(edge(u, v), 2, h + i + 2, comb(p - 2, i))
+                           for i in range(p - 1)]
+    made = 0
+    for row, first_k, k, amount in increments:
+        if max_k is not None and k > max_k:
+            continue
+        while len(row) <= k - first_k:
+            row.append(0)
+        row[k - first_k] += amount
+        made += 1
+    return made
+
+
+@pytest.mark.parametrize("per_vertex,per_edge",
+                         [(False, False), (True, False), (False, True),
+                          (True, True)])
+def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge):
+    # Random leaves on K17 (h in 1..5, p in 0..12), several per table, so
+    # later leaves add into rows that earlier ones already grew.
+    g = complete_graph(17)
+    binomial = pascal_rows(17)
+    rng = random.Random(1400 + 2 * per_vertex + per_edge)
+    for _ in range(40):
+        fast = CountTables(g, per_vertex=per_vertex, per_edge=per_edge)
+        slow = CountTables(g, per_vertex=per_vertex, per_edge=per_edge)
+        for _ in range(6):
+            h, p = rng.randint(1, 5), rng.randint(0, 12)
+            members = rng.sample(range(g.n), h + p)
+            hold, pivots = members[:h], members[h:]
+            max_k = rng.choice([None, h - 1, h, rng.randint(h, h + p)])
+            expected = _reference_accumulate(slow, hold, pivots, max_k)
+            assert accumulate_leaf(fast, hold, pivots, binomial,
+                                   max_k) == expected
+            assert fast.global_counts == slow.global_counts
+            assert fast.per_vertex == slow.per_vertex
+            assert fast.per_edge == slow.per_edge
+
+
+def test_local_counts_beyond_64_bits():
+    # K70 on 0..69 plus a disjoint triangle on 70..72; C(68, 34) > 2^63 - 1
+    assert math.comb(68, 34) > 2 ** 63 - 1
+    edges = [(i, j) for i in range(70) for j in range(i + 1, 70)]
+    edges += [(70, 71), (70, 72), (71, 72)]
+    g = Graph.from_edges(edges)
+    vertex_row = [0] + [math.comb(69, k - 1) for k in range(1, 71)]
+    edge_row = [math.comb(68, k - 2) for k in range(2, 71)]
+    full = count(g, per_vertex=True, per_edge=True)
+    for v in range(70):
+        assert full.per_vertex[v] == vertex_row
+    for v in range(70, 73):
+        assert full.per_vertex[v] == [0, 1, 2, 1]
+    for eid, (u, v) in enumerate(full.edge_keys):
+        assert full.per_edge[eid] == (edge_row if v < 70 else [1, 1])
+
+    part = count(g, per_vertex=True, per_edge=True, max_k=40)
+    for v in range(g.n):
+        assert part.per_vertex[v] == full.per_vertex[v][:41]
+    for eid in range(len(full.edge_keys)):
+        assert part.per_edge[eid] == full.per_edge[eid][:39]
 
 
 def test_k4_end_to_end():
@@ -175,7 +265,7 @@ def test_checked_bound_enforced_on_local_tables():
     g = complete_graph(3)
     tables = CountTables(g, per_vertex=True, counter_bound=10)
     accumulate_leaf(tables, [0], [1, 2], pascal_rows(3))
-    tables._bump_vertex(0, 1, 100)
+    tables.per_vertex[0][1] += 100
     with pytest.raises(CounterOverflowError):
         tables._enforce_bound()
     assert FAST_COUNTER_MAX == 2 ** 63 - 1

@@ -43,6 +43,19 @@ def test_load_malformed_line_reports_line_number():
         load_edge_list(["lonely"])
 
 
+def test_load_reports_line_of_invalid_utf8(tmp_path):
+    # the bad byte lies past the first few kilobytes a text reader decodes
+    data = b"# header\n" + b"0 1\n" * 3000 + b"1 caf\xc3\xa9\n2 \xff3\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for source in (str(path), data, io.BytesIO(data)):
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(source)
+        assert err.value.line_number == 3003
+        assert "line 3003: not valid UTF-8 (byte 0xff at column 3)" in \
+            str(err.value)
+
+
 def test_labels_mapped_in_first_appearance_order():
     g = load_edge_list(["b c", "a c"])
     assert g.id_map == {"b": 0, "c": 1, "a": 2}
