@@ -76,10 +76,6 @@ def _auto_threads(n: int) -> int:
     return os.cpu_count() or 1
 
 
-def _format_count(c: int) -> str:
-    return str(c)
-
-
 def _write_global_csv(tables, out) -> None:
     for k in range(1, len(tables.global_counts)):
         out.write(f"{k},{tables.global_counts[k]}\n")
@@ -107,18 +103,18 @@ def _json_document(graph, tables) -> dict:
         "m": graph.m,
         "alpha": tables.alpha,
         "max_clique_size": tables.max_clique_size(),
-        "global": {str(k): _format_count(c)
+        "global": {str(k): str(c)
                    for k, c in enumerate(tables.global_counts) if k > 0},
     }
     if tables.per_vertex is not None:
         doc["per_vertex"] = {
-            str(v): {str(k): _format_count(c)
+            str(v): {str(k): str(c)
                      for k, c in enumerate(row) if k > 0 and c}
             for v, row in enumerate(tables.per_vertex) if any(row)
         }
     if tables.per_edge is not None:
         doc["per_edge"] = [
-            [u, v, {str(i + 2): _format_count(c)
+            [u, v, {str(i + 2): str(c)
                     for i, c in enumerate(tables.per_edge[eid]) if c}]
             for eid, (u, v) in enumerate(tables.edge_keys)
         ]
@@ -130,28 +126,65 @@ def _sibling_path(path: str, tag: str) -> str:
     return f"{base}.{tag}{ext or '.csv'}"
 
 
+def _write_files(jobs) -> None:
+    """Write each (path, write) pair; ``write`` gets an open text file.
+
+    Every file is first written to a temporary name beside its path, and
+    all of them are moved into place only once each is complete, so a
+    failure leaves no partial or truncated file behind. A symbolic link
+    (such as /dev/stdout) or a path that exists but is no regular file (a
+    device such as /dev/null, a pipe) is written in place, since a rename
+    would replace it. An ``OSError`` becomes a one-line
+    ``CliqueCountError`` naming the path.
+    """
+    staged = []
+    path = None
+    try:
+        for path, write in jobs:
+            if os.path.islink(path) or (os.path.exists(path)
+                                        and not os.path.isfile(path)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    write(fh)
+                continue
+            directory, name = os.path.split(path)
+            temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                staged.append((temp, path))
+                write(fh)
+        for temp, path in staged:
+            os.replace(temp, path)
+        staged = []
+    except OSError as exc:
+        raise CliqueCountError(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        for temp, _ in staged:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
+
+
 def _emit_tables(graph, tables, fmt: str, output: str | None) -> None:
     if fmt == "json":
         doc = _json_document(graph, tables)
+
+        def write_json(fh):
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            _write_files([(output, write_json)])
         else:
-            json.dump(doc, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            write_json(sys.stdout)
         return
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            _write_global_csv(tables, fh)
+        jobs = [(output, lambda fh: _write_global_csv(tables, fh))]
         if tables.per_vertex is not None:
-            with open(_sibling_path(output, "per-vertex"), "w",
-                      encoding="utf-8") as fh:
-                _write_per_vertex_csv(tables, fh)
+            jobs.append((_sibling_path(output, "per-vertex"),
+                         lambda fh: _write_per_vertex_csv(tables, fh)))
         if tables.per_edge is not None:
-            with open(_sibling_path(output, "per-edge"), "w",
-                      encoding="utf-8") as fh:
-                _write_per_edge_csv(tables, fh)
+            jobs.append((_sibling_path(output, "per-edge"),
+                         lambda fh: _write_per_edge_csv(tables, fh)))
+        _write_files(jobs)
     else:
         out = sys.stdout
         _write_global_csv(tables, out)
@@ -165,8 +198,8 @@ def _emit_tables(graph, tables, fmt: str, output: str | None) -> None:
 
 def _emit_report(report: RunReport, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(indent=2) + "\n")
+        _write_files([(path, lambda fh: fh.write(report.to_json(indent=2)
+                                                 + "\n"))])
     else:
         sys.stderr.write(report.to_json() + "\n")
 
@@ -271,8 +304,7 @@ def cmd_inspect_sct(args) -> int:
     else:
         text = tree.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_files([(args.output, lambda fh: fh.write(text))])
     else:
         sys.stdout.write(text)
     return EXIT_OK

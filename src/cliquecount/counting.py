@@ -14,6 +14,8 @@ import logging
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import CounterOverflowError
 from .graph import Graph
@@ -23,6 +25,14 @@ log = logging.getLogger(__name__)
 
 # Envelope of the fixed-width counter mode (signed 64-bit range).
 FAST_COUNTER_MAX = 2 ** 63 - 1
+
+# Roots are set up in chunks of about this many oriented edges plus
+# wedges, which bounds the scratch arrays of one chunk (about 70 bytes per
+# unit) well below the graph's own storage even on small graphs.
+ROOT_CHUNK_WORK = 1 << 11
+# Roots with at most this many out-neighbors get one-word bitmask rows
+# built in bulk; wider roots are set up one at a time.
+WORD_BITS = 64
 
 EXACT = "exact"
 FAST = "fast"
@@ -204,84 +214,192 @@ def accumulate_leaf(tables: CountTables, hold: Sequence[int],
     return applied
 
 
-def count_roots_global(out_lists: list[list[int]], roots,
-                       counts: list[int], local_index: list[int],
-                       binomial: list[list[int]],
+def count_roots_global(orientation: DegeneracyOrientation, roots,
+                       counts: list[int], binomial: list[list[int]],
                        max_hold: int | None = None) -> tuple[int, int, int]:
-    """Global-count walk over the given root vertices (fused hot path).
+    """Global-count engine over the given root vertices.
 
-    Semantically identical to running ``traverse`` with a global-only
-    accumulate sink, but iterative and tracking only (hold size, pivot
-    size) per tree node, which is all global counting needs. Mutates
-    ``counts`` (length alpha + 2) and uses ``local_index`` as scratch
-    (length n, all -1, restored before returning). Returns (nodes, leaves,
-    max depth).
+    Gives the counts and tree shape of ``traverse`` with a global-only
+    sink, restricted to ``roots``. Adds into ``counts`` (length alpha + 2)
+    and returns (nodes, leaves, max depth).
+
+    A root v's subproblem is N+(v) with one bitmask row per out-neighbor.
+    Roots whose rows fit one 64-bit word are set up in chunks of about
+    ``ROOT_CHUNK_WORK`` oriented edges plus wedges, all in numpy: every
+    wedge v->u->w of the out-CSR is closed by a binary search for the
+    edge v->w, and each closed wedge sets one bit in the rows of u and w.
+    A root whose rows are all zero has the fixed two-level tree of an
+    edge-free subproblem and is settled in closed form; only the others
+    are walked. Wider roots build Python-integer rows one at a time.
+    """
+    if max_hold is not None and max_hold < 1:
+        return 0, 0, 0
+    offsets = orientation.out_offsets
+    targets = orientation.out_targets
+    out_deg = np.diff(offsets)
+    roots = np.asarray(roots, dtype=np.int64)
+    sizes = out_deg[roots]
+    nodes = leaves = max_depth = 0
+
+    def walk(rows):
+        nonlocal nodes, leaves, max_depth
+        a, b, c = _walk_root(rows, counts, binomial, max_hold)
+        nodes += a
+        leaves += b
+        max_depth = max(max_depth, c)
+
+    for v in roots[sizes > WORD_BITS].tolist():
+        walk(_python_rows(offsets, targets, v))
+
+    narrow = sizes <= WORD_BITS
+    roots, sizes = roots[narrow], sizes[narrow]
+    # Cut the roots into chunks of about ROOT_CHUNK_WORK oriented edges
+    # plus wedges; a root's wedges come from a running sum over its edges.
+    through = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(out_deg[targets], out=through[1:])
+    work = np.cumsum(sizes + through[offsets[roots + 1]]
+                     - through[offsets[roots]])
+    del through
+    total = int(work[-1]) if len(work) else 0
+    cuts = np.searchsorted(
+        work, np.arange(ROOT_CHUNK_WORK, total, ROOT_CHUNK_WORK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(roots)]))).tolist()
+    # Out-degrees of the roots whose subproblem has no edge.
+    settled = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chunk, chunk_sizes = roots[lo:hi], sizes[lo:hi]
+        rows, first, busy = _chunk_rows(offsets, targets, out_deg,
+                                        chunk, chunk_sizes)
+        settled.append(chunk_sizes[~busy])
+        for i in np.flatnonzero(busy).tolist():
+            walk(rows[first[i]:first[i + 1]].tolist())
+    settled = np.concatenate(settled) if settled else sizes[:0]
+
+    # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
+    # lowest out-neighbor is the pivot leaf (C_1 and C_2 each get 1) and
+    # every other one a hold leaf (C_2 += 1), at depth 2. Capped at one
+    # hold vertex, only the pivot leaf is left. A root with no
+    # out-neighbor is one leaf, C_1.
+    bare = int(np.count_nonzero(settled == 0))
+    edge_free = len(settled) - bare
+    if bare:
+        counts[1] += bare
+        nodes += bare
+        leaves += bare
+        max_depth = max(max_depth, 1)
+    if edge_free:
+        counts[1] += edge_free
+        if max_hold == 1:
+            counts[2] += edge_free
+            nodes += 2 * edge_free
+            leaves += edge_free
+        else:
+            out_edges = int(settled.sum())
+            counts[2] += out_edges
+            nodes += out_edges + edge_free
+            leaves += out_edges
+        max_depth = max(max_depth, 2)
+    return nodes, leaves, max_depth
+
+
+def _chunk_rows(offsets, targets, out_deg, roots, sizes):
+    """Bitmask rows of a chunk of roots with at most ``WORD_BITS`` out-neighbors.
+
+    Returns (rows, first, busy): ``rows`` holds one uint64 word per
+    oriented edge of the chunk, root by root, the row of root i's j-th
+    out-neighbor at ``first[i] + j`` (``first`` has one more entry, the
+    end); ``busy[i]`` tells whether root i's subproblem has an edge.
+    """
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    root_of = np.repeat(np.arange(len(roots), dtype=np.int64), sizes)
+    local = np.arange(len(root_of), dtype=np.int64) - first[root_of]
+    u = targets[offsets[roots][root_of] + local]
+    # Every wedge root -> u -> w, tagged with the edge root -> u.
+    du = out_deg[u]
+    via = np.repeat(np.arange(len(u), dtype=np.int64), du)
+    step = np.arange(len(via), dtype=np.int64) - (np.cumsum(du) - du)[via]
+    w = targets[offsets[u][via] + step]
+    # It closes where root -> w is an edge; (root, u) keys are sorted.
+    n = len(out_deg)
+    keys = root_of * n + u
+    probe = root_of[via] * n + w
+    at = np.searchsorted(keys, probe)
+    np.minimum(at, len(keys) - 1, out=at)
+    hit = keys[at] == probe
+    a, b = via[hit], at[hit]
+    rows = np.zeros(len(u), dtype=np.uint64)
+    one = np.uint64(1)
+    np.bitwise_or.at(rows, a, one << local[b].astype(np.uint64))
+    np.bitwise_or.at(rows, b, one << local[a].astype(np.uint64))
+    busy = np.zeros(len(roots), dtype=bool)
+    busy[root_of[a]] = True
+    return rows, [0] + ends.tolist(), busy
+
+
+def _python_rows(offsets, targets, v) -> list[int]:
+    """Bitmask rows of root v's subproblem, as Python integers of any width."""
+    members = targets[offsets[v]:offsets[v + 1]].tolist()
+    index = {u: j for j, u in enumerate(members)}
+    rows = [0] * len(members)
+    for j, u in enumerate(members):
+        for w in targets[offsets[u]:offsets[u + 1]].tolist():
+            jj = index.get(w)
+            if jj is not None:
+                rows[j] |= 1 << jj
+                rows[jj] |= 1 << j
+    return rows
+
+
+def _walk_root(rows: list[int], counts: list[int], binomial: list[list[int]],
+               max_hold: int | None) -> tuple[int, int, int]:
+    """Walk one root's clique tree, tracking only (|H|, |P|) per node.
+
+    ``rows`` are the bitmask rows of the root's subproblem. Adds each
+    leaf's binomial row into ``counts``; returns (nodes, leaves, max depth).
     """
     nodes = 0
     leaves = 0
     max_depth = 0
-    if max_hold is not None and max_hold < 1:
-        return 0, 0, 0
-    for v in roots:
-        members = out_lists[v]
-        s = len(members)
-        if s == 0:
-            nodes += 1
+    # Each stack entry is one tree node: (subproblem mask, |H|, |P|).
+    stack = [((1 << len(rows)) - 1, 1, 0)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        mask, h, p = pop()
+        nodes += 1
+        if mask == 0:
             leaves += 1
-            counts[1] += 1
-            if max_depth < 1:
-                max_depth = 1
+            if h + p > max_depth:
+                max_depth = h + p
+            row = binomial[p]
+            for i in range(p + 1):
+                counts[h + i] += row[i]
             continue
-        for j, u in enumerate(members):
-            local_index[u] = j
-        rows = [0] * s
-        for j, u in enumerate(members):
-            for w in out_lists[u]:
-                jj = local_index[w]
-                if jj >= 0:
-                    rows[j] |= 1 << jj
-                    rows[jj] |= 1 << j
-        for u in members:
-            local_index[u] = -1
-        # Each stack entry is one tree node: (subproblem mask, |H|, |P|).
-        stack = [((1 << s) - 1, 1, 0)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            mask, h, p = pop()
-            nodes += 1
-            if mask == 0:
-                leaves += 1
-                if h + p > max_depth:
-                    max_depth = h + p
-                row = binomial[p]
-                for i in range(p + 1):
-                    counts[h + i] += row[i]
-                continue
-            m = mask
-            best = -1
-            best_deg = -1
-            best_row = 0
+        m = mask
+        best = -1
+        best_deg = -1
+        best_row = 0
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            row = rows[i] & mask
+            d = row.bit_count()
+            if d > best_deg:
+                best, best_deg, best_row = i, d, row
+            m ^= low
+        # Visit order differs from the recursive walk (LIFO stack), but
+        # counts, node counts, and depth are order-independent.
+        if max_hold is None or h < max_hold:
+            m = mask & ~(best_row | (1 << best))
+            dropped = 0
             while m:
                 low = m & -m
                 i = low.bit_length() - 1
-                row = rows[i] & mask
-                d = row.bit_count()
-                if d > best_deg:
-                    best, best_deg, best_row = i, d, row
+                push((rows[i] & mask & ~dropped, h + 1, p))
+                dropped |= low
                 m ^= low
-            # Visit order differs from the recursive walk (LIFO stack), but
-            # counts, node counts, and depth are order-independent.
-            if max_hold is None or h < max_hold:
-                m = mask & ~(best_row | (1 << best))
-                dropped = 0
-                while m:
-                    low = m & -m
-                    i = low.bit_length() - 1
-                    push((rows[i] & mask & ~dropped, h + 1, p))
-                    dropped |= low
-                    m ^= low
-            push((best_row, h, p + 1))
+        push((best_row, h, p + 1))
     return nodes, leaves, max_depth
 
 
@@ -350,11 +468,9 @@ def _count_global_sequential(graph, orientation, max_k, counters) -> CountTables
         log.info("fast counters unavailable here (alpha=%d, numba=%s); "
                  "using checked exact counters", alpha, fastpath.HAVE_NUMBA)
     counts = [0] * (alpha + 2)
-    local_index = [-1] * graph.n
-    binomial = pascal_rows(alpha + 1)
     nodes, leaves, depth = count_roots_global(
-        orientation.out_neighbors, range(graph.n), counts,
-        local_index, binomial, max_hold=max_k)
+        orientation, np.arange(graph.n), counts, pascal_rows(alpha + 1),
+        max_hold=max_k)
     tables.global_counts = counts
     tables.stats = TraversalStats(nodes, leaves, depth)
     return tables

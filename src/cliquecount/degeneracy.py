@@ -14,11 +14,6 @@ import numpy as np
 
 from .graph import Graph
 
-# Heap entries encode (residual degree, vertex id) in one int so that the
-# lexicographic order gives the lowest-id tie-break for free.
-_ID_BITS = 40
-_ID_MASK = (1 << _ID_BITS) - 1
-
 
 class DegeneracyOrientation:
     """Removal order plus the induced acyclic orientation of a Graph.
@@ -72,55 +67,67 @@ class DegeneracyOrientation:
 def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     """Compute the degeneracy ordering and orientation of ``graph``.
 
-    Uses a lazy-deletion heap keyed on (residual degree, id). Whenever a
-    neighbor's degree drops, a fresh entry is pushed and stale entries are
-    discarded on pop, so the heap realizes exactly the minimum-degree,
-    lowest-id removal rule. Core numbers fall out of the same pass as the
-    running maximum of removal-time residual degrees.
+    A bucket queue indexed by residual degree, after Batagelj and
+    Zaversnik (2003), with a min-heap of vertex ids in each bucket so that
+    ties go to the lowest id. Buckets start in id order, which already is
+    a heap. When a neighbor's degree drops, its id is pushed into the
+    bucket one lower; the entry left behind is stale and dropped when
+    popped. A removal lowers the minimum residual degree by at most one,
+    so the scan steps back one bucket after each. Neighbors are read from
+    the CSR slice of each removed vertex. Core numbers fall out of the
+    same pass as the running maximum of removal-time residual degrees.
     """
     n = graph.n
     if n == 0:
         return DegeneracyOrientation(
             0, [], [], 0, [],
             np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32))
-    adj = graph.adjacency_lists()
-    deg = [len(a) for a in adj]
-    heap = [(d << _ID_BITS) | v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
+    offsets = graph._offsets
+    neighbors = graph._neighbors
+    deg = np.diff(offsets).tolist()
+    buckets = [[] for _ in range(max(deg) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    bounds = offsets.tolist()
     push = heapq.heappush
     pop = heapq.heappop
-    removed = bytearray(n)
     order: list[int] = []
     rank = [0] * n
     core_numbers = [0] * n
     running_core = 0
-    while heap:
-        entry = pop(heap)
-        v = entry & _ID_MASK
-        if removed[v] or (entry >> _ID_BITS) != deg[v]:
-            continue
-        removed[v] = 1
-        rank[v] = len(order)
+    d = 0
+    for position in range(n):
+        while True:
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+            else:
+                v = pop(bucket)
+                if deg[v] == d:
+                    break
+        # A removed vertex keeps degree -1, so no bucket entry matches it.
+        deg[v] = -1
+        rank[v] = position
         order.append(v)
-        if deg[v] > running_core:
-            running_core = deg[v]
+        if d > running_core:
+            running_core = d
         core_numbers[v] = running_core
-        for u in adj[v]:
-            if not removed[u]:
-                du = deg[u] - 1
-                deg[u] = du
-                push(heap, (du << _ID_BITS) | u)
+        for u in neighbors[bounds[v]:bounds[v + 1]].tolist():
+            du = deg[u]
+            if du > 0:
+                deg[u] = du - 1
+                push(buckets[du - 1], u)
+        if d:
+            d -= 1
     alpha = running_core
 
     # Orient edges toward higher rank; CSR rows are id-sorted already, so
     # filtering preserves the ascending order the traversal relies on.
     rank_arr = np.asarray(rank, dtype=np.int64)
-    offsets = graph._offsets
-    targets = graph._neighbors
-    if len(targets):
+    if len(neighbors):
         row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        keep = rank_arr[targets] > rank_arr[row_of]
-        out_targets = np.ascontiguousarray(targets[keep])
+        keep = rank_arr[neighbors] > rank_arr[row_of]
+        out_targets = np.ascontiguousarray(neighbors[keep])
         counts = np.bincount(row_of[keep], minlength=n)
     else:
         out_targets = np.empty(0, dtype=np.int32)

@@ -93,11 +93,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._offsets)
 
-    def adjacency_lists(self) -> list[list[int]]:
-        """Adjacency as plain lists; handy for tight Python loops."""
-        offsets, nbr = self._offsets, self._neighbors
-        return [nbr[offsets[v]:offsets[v + 1]].tolist() for v in range(self.n)]
-
     def _check_vertex(self, v) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
@@ -117,20 +112,24 @@ class Graph:
 
 
 def _build_csr(n, u, v):
-    """Normalize raw endpoint arrays into sorted CSR adjacency."""
+    """Normalize raw endpoint arrays into sorted CSR adjacency.
+
+    Each edge becomes the key min * n + max; one sort plus a
+    neighbour-inequality mask drops duplicates, and one more sort of the
+    keys of both directions (src * n + dst) orders the rows.
+    """
     keep = u != v
     u, v = u[keep], v[keep]
     if n == 0 or len(u) == 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    key = np.unique(a * np.int64(n) + b)
-    a = key // n
-    b = key % n
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    order = np.lexsort((dst, src))
-    neighbors = dst[order].astype(np.int32)
+    n = np.int64(n)
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    both = np.concatenate([key, (key % n) * n + key // n])
+    both.sort()
+    src = both // n
+    neighbors = (both - src * n).astype(np.int32)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     return offsets, neighbors

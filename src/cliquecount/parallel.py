@@ -6,9 +6,11 @@ worker processes. Each worker accumulates into a private table; the
 merge is elementwise integer addition, so the result is identical to the
 sequential run for any worker count and any scheduling order.
 
-Workers inherit the graph and orientation by forking, so nothing large
-is pickled. Local (per-vertex, per-edge) counting is deliberately not
-parallelized.
+Each worker runs ``counting.count_roots_global``, the engine of the
+sequential count, on its batches of roots. Workers inherit the
+orientation's out-CSR arrays by forking, so nothing large is pickled and
+nothing is built before the fork. Local (per-vertex, per-edge) counting
+is deliberately not parallelized.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ BATCHES_PER_WORKER = 4
 
 # Worker-side state, inherited via fork; see _worker_count.
 _SHARED = None
-_SCRATCH = None
 
 
 @dataclass
@@ -53,7 +54,6 @@ class _SharedState:
 
 
 def _worker_count(batch) -> WorkerResult:
-    global _SCRATCH
     shared = _SHARED
     o = shared.orientation
     if shared.counters == counting.FAST:
@@ -61,12 +61,9 @@ def _worker_count(batch) -> WorkerResult:
             o, roots=batch, max_hold=shared.max_hold,
             prepared=shared.prepared)
         return WorkerResult(counts, nodes, leaves, depth)
-    if _SCRATCH is None or len(_SCRATCH) != o.n:
-        _SCRATCH = [-1] * o.n
     counts = [0] * (o.alpha + 2)
     nodes, leaves, depth = counting.count_roots_global(
-        o.out_neighbors, [int(v) for v in batch], counts, _SCRATCH,
-        shared.binomial, max_hold=shared.max_hold)
+        o, batch, counts, shared.binomial, max_hold=shared.max_hold)
     return WorkerResult(counts, nodes, leaves, depth)
 
 
@@ -117,7 +114,6 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
             log.info("fast counters unavailable (alpha=%d, numba=%s); "
                      "workers use checked exact counters",
                      orientation.alpha, fastpath.HAVE_NUMBA)
-        orientation.out_neighbors  # materialize before forking
         shared.binomial = counting.pascal_rows(orientation.alpha + 1)
 
     n_batches = min(graph.n, workers * BATCHES_PER_WORKER)

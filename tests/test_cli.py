@@ -149,6 +149,58 @@ def test_input_file_errors_are_one_line(tmp_path, case, reason):
         assert lines[0] == f"error: {path}: {reason}"
 
 
+def test_output_file_errors_are_one_line(tmp_path, triangle_file):
+    target = tmp_path / "no_such_dir" / "out.csv"
+    result = run_cli_process("count", triangle_file, "--output", str(target))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        f"error: {target}: No such file or directory"]
+    assert not target.exists()
+
+
+def test_failed_output_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # A write that fails part-way, on the last of three files, leaves none
+    # of them and no temporary file behind.
+    path = write_graph(tmp_path, complete_graph(4))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "counts.csv").write_text("old\n")
+
+    def failing_write(tables, out):
+        out.write("0,1,2,1\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_per_edge_csv", failing_write)
+    code, _, err = run_cli(capsys, "count", path, "--per-vertex", "--per-edge",
+                           "--output", str(out_dir / "counts.csv"))
+    assert code == 1
+    assert err == (f"error: {out_dir / 'counts.per-edge.csv'}: "
+                   "No space left on device\n")
+    assert sorted(os.listdir(out_dir)) == ["counts.csv"]
+    assert (out_dir / "counts.csv").read_text() == "old\n"
+
+
+def test_report_to_a_directory_is_one_line(capsys, tmp_path, triangle_file):
+    code, out, err = run_cli(capsys, "count", triangle_file,
+                             "--report", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {tmp_path}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["triangle.txt"]
+
+
+def test_output_through_a_symlink_keeps_the_link(capsys, tmp_path,
+                                                  triangle_file):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "count", triangle_file, "--output", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == "1,3\n2,3\n3,1\n"
+
+
 def test_local_count_reports_the_one_thread_it_ran(capsys, tmp_path,
                                                    monkeypatch, caplog):
     monkeypatch.setattr(cli, "PARALLEL_AUTO_THRESHOLD", 1)

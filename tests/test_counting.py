@@ -315,3 +315,81 @@ def test_empty_graph_counts():
     t = count(empty_graph(0))
     assert t.global_counts == [0]
     assert t.max_clique_size() == 0
+
+
+def _traverse_reference(g, o, max_k):
+    """The recursive walk with a global-only sink: every leaf's full
+    binomial row, those rows cut at ``max_k`` and trimmed, and the shape."""
+    binomial = pascal_rows(o.alpha + 1)
+    raw = [0] * (o.alpha + 2)
+
+    def sink(hold, pivots):
+        h, p = len(hold), len(pivots)
+        for i in range(p + 1):
+            raw[h + i] += binomial[p][i]
+
+    stats = traverse(g, o, sink, max_hold=max_k)
+    counts = raw[:None if max_k is None else max_k + 1]
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return raw, counts, stats
+
+
+def _mixed_graph(seed):
+    """Isolated vertices, edge-free roots, planted cliques, a dense part."""
+    rng = random.Random(seed)
+    n = 160
+    edges = [(rng.randrange(100), rng.randrange(100)) for _ in range(120)]
+    for _ in range(4):
+        members = rng.sample(range(100), rng.randint(4, 9))
+        edges += itertools.combinations(members, 2)
+    edges += [(u, v) for u, v in itertools.combinations(range(100, 122), 2)
+              if rng.random() < 0.6]
+    return Graph.from_edges(edges, n=n)  # 122..159 stay isolated
+
+
+def _wide_root_graph(seed):
+    """K66 (roots of out-degree 65, 64, 63) and K73 less five disjoint
+    edges (roots of out-degree 71), plus pendant edges."""
+    rng = random.Random(seed)
+    edges = list(itertools.combinations(range(66), 2))
+    near = range(66, 139)
+    missing = rng.sample(near, 10)
+    missing = {(min(u, v), max(u, v))
+               for u, v in zip(missing[::2], missing[1::2])}
+    edges += [e for e in itertools.combinations(near, 2) if e not in missing]
+    edges += [(rng.randrange(139), 139 + i) for i in range(10)]
+    return Graph.from_edges(edges)
+
+
+@pytest.mark.parametrize("chunk_work", [3, None])
+@pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph])
+def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
+    from cliquecount import count_global_parallel, counting
+    if chunk_work is not None:
+        # Small enough to split the roots across many chunks.
+        monkeypatch.setattr(counting, "ROOT_CHUNK_WORK", chunk_work)
+    for seed in (1, 2):
+        g = build(seed)
+        o = degeneracy_orient(g)
+        out_degrees = set(o.out_degrees().tolist())
+        if build is _wide_root_graph:
+            assert {63, 64, 65} <= out_degrees and max(out_degrees) >= 70
+        else:
+            assert 0 in out_degrees and o.alpha >= 5
+        roots = list(range(g.n))
+        random.Random(seed).shuffle(roots)
+        for max_k in (None, 1, 2, 3, 5):
+            raw, counts, stats = _traverse_reference(g, o, max_k)
+            engine = [0] * (o.alpha + 2)
+            shape = counting.count_roots_global(
+                o, roots, engine, pascal_rows(o.alpha + 1), max_hold=max_k)
+            assert engine == raw, (seed, max_k)
+            assert shape == (stats.node_count, stats.leaf_count,
+                             stats.max_depth), (seed, max_k)
+            got = count(g, max_k=max_k, orientation=o)
+            assert got.global_counts == counts, (seed, max_k)
+            assert got.stats == stats, (seed, max_k)
+            par = count_global_parallel(g, o, workers=2, max_k=max_k)
+            assert par.global_counts == counts, (seed, max_k)
+            assert par.stats == stats, (seed, max_k)
