@@ -11,6 +11,7 @@ whose counts fit 64 bits.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from operator import add
 from typing import Sequence
 
@@ -26,10 +27,13 @@ log = logging.getLogger(__name__)
 # Envelope of the fixed-width counter mode (signed 64-bit range).
 FAST_COUNTER_MAX = 2 ** 63 - 1
 
-# Roots are set up in chunks of about this many oriented edges plus
-# wedges, which bounds the scratch arrays of one chunk (about 70 bytes per
-# unit) well below the graph's own storage even on small graphs.
+# Roots are set up in chunks of about max(ROOT_CHUNK_WORK, m //
+# ROOT_CHUNK_SHARE) oriented edges plus wedges, m the number of oriented
+# edges. A chunk's scratch arrays (about 70 bytes per unit) thus stay a
+# fixed share of the out-CSR on large graphs and well below the graph's
+# own storage on small ones, while large graphs need few numpy calls.
 ROOT_CHUNK_WORK = 1 << 11
+ROOT_CHUNK_SHARE = 16
 # Roots with at most this many out-neighbors get one-word bitmask rows
 # built in bulk; wider roots are set up one at a time.
 WORD_BITS = 64
@@ -225,12 +229,20 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
 
     A root v's subproblem is N+(v) with one bitmask row per out-neighbor.
     Roots whose rows fit one 64-bit word are set up in chunks of about
-    ``ROOT_CHUNK_WORK`` oriented edges plus wedges, all in numpy: every
-    wedge v->u->w of the out-CSR is closed by a binary search for the
-    edge v->w, and each closed wedge sets one bit in the rows of u and w.
-    A root whose rows are all zero has the fixed two-level tree of an
-    edge-free subproblem and is settled in closed form; only the others
-    are walked. Wider roots build Python-integer rows one at a time.
+    max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) oriented edges
+    plus wedges, all in numpy: every wedge v->u->w of the out-CSR is
+    closed by a binary search for the edge v->w, and each closed wedge
+    sets one bit in the rows of u and w. A root whose rows are all zero
+    has the fixed two-level tree of an edge-free subproblem and is
+    settled in closed form; only the others are walked (``_walk_root``,
+    which settles edge-free nodes at any depth the same way and stops its
+    pivot scan at a vertex adjacent to all others). Wider roots build
+    Python-integer rows one at a time.
+
+    Leaves are tallied by (|H|, |P|); a leaf adds the binomial row
+    C(|P|, i) to C_{|H|+i}, so each distinct pair's row is added to
+    ``counts`` once, times its leaf count, after all roots are done. The
+    leaf count and the max depth come from the same tally.
     """
     if max_hold is not None and max_hold < 1:
         return 0, 0, 0
@@ -239,30 +251,25 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     out_deg = np.diff(offsets)
     roots = np.asarray(roots, dtype=np.int64)
     sizes = out_deg[roots]
-    nodes = leaves = max_depth = 0
-
-    def walk(rows):
-        nonlocal nodes, leaves, max_depth
-        a, b, c = _walk_root(rows, counts, binomial, max_hold)
-        nodes += a
-        leaves += b
-        max_depth = max(max_depth, c)
+    # Leaves per (|H|, |P|); at most (alpha + 1)^2 entries.
+    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
+    nodes = 0
 
     for v in roots[sizes > WORD_BITS].tolist():
-        walk(_python_rows(offsets, targets, v))
+        nodes += _walk_root(_python_rows(offsets, targets, v), tally, max_hold)
 
     narrow = sizes <= WORD_BITS
     roots, sizes = roots[narrow], sizes[narrow]
-    # Cut the roots into chunks of about ROOT_CHUNK_WORK oriented edges
-    # plus wedges; a root's wedges come from a running sum over its edges.
+    # Cut the roots into chunks of about `step` oriented edges plus
+    # wedges; a root's wedges come from a running sum over its edges.
     through = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(out_deg[targets], out=through[1:])
     work = np.cumsum(sizes + through[offsets[roots + 1]]
                      - through[offsets[roots]])
     del through
     total = int(work[-1]) if len(work) else 0
-    cuts = np.searchsorted(
-        work, np.arange(ROOT_CHUNK_WORK, total, ROOT_CHUNK_WORK), side="right")
+    step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
+    cuts = np.searchsorted(work, np.arange(step, total, step), side="right")
     bounds = np.unique(np.concatenate(([0], cuts, [len(roots)]))).tolist()
     # Out-degrees of the roots whose subproblem has no edge.
     settled = []
@@ -272,33 +279,28 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
                                         chunk, chunk_sizes)
         settled.append(chunk_sizes[~busy])
         for i in np.flatnonzero(busy).tolist():
-            walk(rows[first[i]:first[i + 1]].tolist())
+            nodes += _walk_root(rows[first[i]:first[i + 1]].tolist(), tally,
+                                max_hold)
     settled = np.concatenate(settled) if settled else sizes[:0]
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
-    # lowest out-neighbor is the pivot leaf (C_1 and C_2 each get 1) and
-    # every other one a hold leaf (C_2 += 1), at depth 2. Capped at one
-    # hold vertex, only the pivot leaf is left. A root with no
-    # out-neighbor is one leaf, C_1.
+    # lowest out-neighbor is the pivot leaf (1, 1) and every other one a
+    # hold leaf (2, 0). Capped at one hold vertex, only the pivot leaf is
+    # left. A root with no out-neighbor is one leaf, (1, 0).
     bare = int(np.count_nonzero(settled == 0))
     edge_free = len(settled) - bare
-    if bare:
-        counts[1] += bare
-        nodes += bare
-        leaves += bare
-        max_depth = max(max_depth, 1)
-    if edge_free:
-        counts[1] += edge_free
-        if max_hold == 1:
-            counts[2] += edge_free
-            nodes += 2 * edge_free
-            leaves += edge_free
-        else:
-            out_edges = int(settled.sum())
-            counts[2] += out_edges
-            nodes += out_edges + edge_free
-            leaves += out_edges
-        max_depth = max(max_depth, 2)
+    holds = 0 if max_hold == 1 else int(settled.sum()) - edge_free
+    for key, leaf_count in (((1, 0), bare), ((1, 1), edge_free),
+                            ((2, 0), holds)):
+        if leaf_count:
+            tally[key] += leaf_count
+    nodes += bare + 2 * edge_free + holds
+
+    for (h, p), leaf_count in tally.items():
+        for i, c in enumerate(binomial[p]):
+            counts[h + i] += leaf_count * c
+    leaves = sum(tally.values())
+    max_depth = max((h + p for h, p in tally), default=0)
     return nodes, leaves, max_depth
 
 
@@ -351,56 +353,68 @@ def _python_rows(offsets, targets, v) -> list[int]:
     return rows
 
 
-def _walk_root(rows: list[int], counts: list[int], binomial: list[list[int]],
-               max_hold: int | None) -> tuple[int, int, int]:
+def _walk_root(rows: list[int], tally: defaultdict,
+               max_hold: int | None) -> int:
     """Walk one root's clique tree, tracking only (|H|, |P|) per node.
 
-    ``rows`` are the bitmask rows of the root's subproblem. Adds each
-    leaf's binomial row into ``counts``; returns (nodes, leaves, max depth).
+    ``rows`` are the bitmask rows of the root's subproblem. Adds one to
+    ``tally[h, p]`` per leaf with h hold and p pivot vertices and returns
+    the number of nodes.
+
+    The pivot scan stops at the first vertex adjacent to every other one:
+    no later vertex can have a higher degree, and ties keep the earlier
+    vertex, so the pivot is the one a full scan would pick. A node whose
+    subproblem has no edge is settled in closed form: its lowest vertex is
+    the pivot leaf (h, p + 1) and each other vertex a hold leaf (h + 1, p).
+    The pivot child is walked in place rather than pushed, since it would
+    be popped next.
     """
     nodes = 0
-    leaves = 0
-    max_depth = 0
     # Each stack entry is one tree node: (subproblem mask, |H|, |P|).
     stack = [((1 << len(rows)) - 1, 1, 0)]
     push = stack.append
     pop = stack.pop
     while stack:
         mask, h, p = pop()
-        nodes += 1
-        if mask == 0:
-            leaves += 1
-            if h + p > max_depth:
-                max_depth = h + p
-            row = binomial[p]
-            for i in range(p + 1):
-                counts[h + i] += row[i]
-            continue
-        m = mask
-        best = -1
-        best_deg = -1
-        best_row = 0
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            row = rows[i] & mask
-            d = row.bit_count()
-            if d > best_deg:
-                best, best_deg, best_row = i, d, row
-            m ^= low
-        # Visit order differs from the recursive walk (LIFO stack), but
-        # counts, node counts, and depth are order-independent.
-        if max_hold is None or h < max_hold:
-            m = mask & ~(best_row | (1 << best))
-            dropped = 0
+        may_hold = max_hold is None or h < max_hold
+        while mask:
+            nodes += 1
+            full = mask.bit_count() - 1
+            m = mask
+            best_deg = -1
             while m:
                 low = m & -m
-                i = low.bit_length() - 1
-                push((rows[i] & mask & ~dropped, h + 1, p))
-                dropped |= low
+                row = rows[low.bit_length() - 1] & mask
+                d = row.bit_count()
+                if d > best_deg:
+                    best, best_deg, best_row = low, d, row
+                    if d == full:
+                        break
                 m ^= low
-        push((best_row, h, p + 1))
-    return nodes, leaves, max_depth
+            if not best_deg:
+                # No edge: a pivot leaf and `full` hold leaves.
+                tally[h, p + 1] += 1
+                nodes += 1
+                if may_hold and full:
+                    tally[h + 1, p] += full
+                    nodes += full
+                break
+            if may_hold and best_deg < full:
+                m = mask & ~(best_row | best)
+                dropped = 0
+                while m:
+                    low = m & -m
+                    push((rows[low.bit_length() - 1] & mask & ~dropped,
+                          h + 1, p))
+                    dropped |= low
+                    m ^= low
+            mask = best_row
+            p += 1
+        else:
+            # The subproblem is empty: a leaf.
+            nodes += 1
+            tally[h, p] += 1
+    return nodes
 
 
 def max_clique_size(tables: CountTables) -> int:

@@ -115,7 +115,8 @@ def traverse(graph: Graph,
 
     For every vertex v (a hold link at the root) the walk recurses on the
     subproblem induced on the out-neighborhood of v. At each non-empty
-    subproblem it picks the pivot p of maximum subproblem degree, recurses
+    subproblem it picks the pivot p of maximum subproblem degree (lowest
+    id on ties; the scan stops at a vertex adjacent to all others), recurses
     on p's neighborhood with p pushed as a pivot, then visits the
     non-neighbors of p in ascending id order, recursing on each one's
     neighborhood minus the earlier non-neighbors with the vertex pushed as
@@ -153,6 +154,9 @@ def traverse(graph: Graph,
                 stats.max_depth = depth
             sink(hold, pivots)
             return
+        # A vertex adjacent to all others ends the scan: none can beat
+        # it, and ties keep the earlier vertex.
+        full = mask.bit_count() - 1
         m = mask
         best = -1
         best_deg = -1
@@ -164,6 +168,8 @@ def traverse(graph: Graph,
             d = row.bit_count()
             if d > best_deg:
                 best, best_deg, best_row = i, d, row
+                if d == full:
+                    break
             m ^= low
         pivots.append(members[best])
         walk(best_row)

@@ -366,9 +366,15 @@ def _wide_root_graph(seed):
 @pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph])
 def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
     from cliquecount import count_global_parallel, counting
+    chunks = []
     if chunk_work is not None:
-        # Small enough to split the roots across many chunks.
+        # Small enough to split the roots across many chunks: the share
+        # of the out-CSR rounds down to 0, so the minimum sets the size.
         monkeypatch.setattr(counting, "ROOT_CHUNK_WORK", chunk_work)
+        monkeypatch.setattr(counting, "ROOT_CHUNK_SHARE", 1 << 62)
+        chunk_rows = counting._chunk_rows
+        monkeypatch.setattr(counting, "_chunk_rows", lambda *args: (
+            chunks.append(args[3]) or chunk_rows(*args)))
     for seed in (1, 2):
         g = build(seed)
         o = degeneracy_orient(g)
@@ -387,9 +393,68 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             assert engine == raw, (seed, max_k)
             assert shape == (stats.node_count, stats.leaf_count,
                              stats.max_depth), (seed, max_k)
+            if chunk_work is not None:
+                assert len(chunks) > 20, (seed, max_k)
+                chunks.clear()
             got = count(g, max_k=max_k, orientation=o)
             assert got.global_counts == counts, (seed, max_k)
             assert got.stats == stats, (seed, max_k)
             par = count_global_parallel(g, o, workers=2, max_k=max_k)
             assert par.global_counts == counts, (seed, max_k)
             assert par.stats == stats, (seed, max_k)
+
+
+# Without numba, fastpath's ``njit`` is a no-op decorator, so forcing
+# HAVE_NUMBA runs the fixed-width kernel itself as plain Python.
+@pytest.fixture
+def python_kernel(monkeypatch):
+    from cliquecount import fastpath
+    monkeypatch.setattr(fastpath, "HAVE_NUMBA", True)
+    return fastpath
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: random_gnp(20, 0.5, 1200 + seed),
+    lambda seed: random_gnp(40, 0.2, 1300 + seed),
+    _mixed_graph,
+])
+def test_fast_kernel_matches_exact_engine(build, python_kernel):
+    for seed in (1, 2):
+        g = build(seed)
+        o = degeneracy_orient(g)
+        assert python_kernel.usable(o.alpha)
+        for max_k in (None, 1, 2, 3, 5):
+            exact = count(g, max_k=max_k, orientation=o)
+            fast = count(g, max_k=max_k, orientation=o, counters="fast")
+            assert fast.global_counts == exact.global_counts, (seed, max_k)
+            assert fast.stats == exact.stats, (seed, max_k)
+    par = count(g, threads=2, counters="fast")
+    full = count(g)
+    assert par.global_counts == full.global_counts
+    assert par.stats == full.stats
+
+
+def test_fast_kernel_detects_overflow_without_wrapping(python_kernel,
+                                                       monkeypatch):
+    # Eleven disjoint K63: alpha is 62, within the kernel's mask width,
+    # and 11 * C(63, 31) passes 2^63 - 1 while 10 * C(63, 31) does not.
+    edges = []
+    for c in range(11):
+        base = c * 63
+        edges.extend((base + i, base + j)
+                     for i in range(63) for j in range(i + 1, 63))
+    g = Graph.from_edges(edges)
+    kernel = python_kernel._kernel
+    seen = []
+    monkeypatch.setattr(python_kernel, "_kernel", lambda *args: (
+        seen.append(args[3]) or kernel(*args)))
+    with pytest.raises(CounterOverflowError, match="--exact"):
+        count(g, counters="fast")
+    (counts,) = seen
+    # Refused adds leave every counter in range and at most its true value;
+    # counters that never reach the bound are exact.
+    for k, c in enumerate(counts.tolist()):
+        true = 11 * math.comb(63, k) if k else 0
+        assert 0 <= c <= min(true, FAST_COUNTER_MAX), k
+        if true <= FAST_COUNTER_MAX:
+            assert c == true, k

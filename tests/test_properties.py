@@ -1,12 +1,14 @@
 """Hypothesis property tests of the peel and the global and local counts."""
 
 import itertools
+import math
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cliquecount import Graph, count, degeneracy_orient
+from cliquecount import Graph, count, degeneracy_orient, pascal_rows, traverse
+from cliquecount.counting import count_roots_global
 
 from conftest import quadratic_peel
 
@@ -48,6 +50,40 @@ def small_graphs(draw, max_n=14):
     return Graph.from_edges([e for e, keep in zip(pairs, chosen) if keep], n=n)
 
 
+@st.composite
+def clique_rich_graphs(draw):
+    """Overlapping or disjoint cliques, stars and cliques less a matching on
+    a vertex set that may leave some vertices isolated: clique trees full
+    of complete and edge-free subproblems."""
+    n = draw(st.integers(1, 36))
+    edges = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["clique", "star", "matching"]))
+        members = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=13, unique=True))
+        if kind == "star":
+            edges += [(members[0], v) for v in members[1:]]
+        else:
+            pairs = set(itertools.combinations(members, 2))
+            if kind == "matching":
+                pairs -= set(zip(members[::2], members[1::2]))
+            edges += pairs
+    return Graph.from_edges(edges, n=n)
+
+
+def _global_reference(g, o, max_hold):
+    """Raw counts and shape of the recursive walk with a global-only sink."""
+    binomial = pascal_rows(o.alpha + 1)
+    raw = [0] * (o.alpha + 2)
+
+    def sink(hold, pivots):
+        for i, c in enumerate(binomial[len(pivots)]):
+            raw[len(hold) + i] += c
+
+    stats = traverse(g, o, sink, max_hold=max_hold)
+    return raw, (stats.node_count, stats.leaf_count, stats.max_depth)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_graphs())
 def test_peel_matches_quadratic_peel_on_ties(g):
@@ -83,3 +119,46 @@ def test_truncated_run_is_a_prefix_of_the_full_run(g):
         assert part.global_counts == full.global_counts[:max_k + 1]
         assert part.per_vertex == [row[:max_k + 1] for row in full.per_vertex]
         assert part.per_edge == [row[:max_k - 1] for row in full.per_edge]
+
+
+@settings(max_examples=120, deadline=None)
+@given(clique_rich_graphs(), st.randoms(use_true_random=False))
+def test_global_engine_matches_traverse(g, rng):
+    o = degeneracy_orient(g)
+    binomial = pascal_rows(o.alpha + 1)
+    roots = list(range(g.n))
+    rng.shuffle(roots)
+    for max_k in (None, 1, 2, 3, 5):
+        raw, shape = _global_reference(g, o, max_k)
+        counts = [0] * (o.alpha + 2)
+        assert count_roots_global(o, roots, counts, binomial,
+                                  max_hold=max_k) == shape, max_k
+        assert counts == raw, max_k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), clique_rich_graphs()))
+def test_local_counts_sum_to_global_counts(g):
+    t = count(g, per_vertex=True, per_edge=True)
+    edges = list(g.edges())
+    for k, total in enumerate(t.global_counts):
+        assert sum(t.vertex_count(v, k) for v in range(g.n)) == k * total
+        if k >= 2:
+            assert sum(t.edge_count(u, v, k) for u, v in edges) == \
+                math.comb(k, 2) * total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), clique_rich_graphs()), st.data())
+def test_deleting_an_edge_removes_only_its_cliques(g, data):
+    edges = list(g.edges())
+    assume(edges)
+    u, v = data.draw(st.sampled_from(edges))
+    before = count(g, per_edge=True)
+    after = count(Graph.from_edges([e for e in edges if e != (u, v)],
+                                   n=g.n))
+    assert len(after.global_counts) <= len(before.global_counts)
+    for k in range(len(before.global_counts)):
+        assert after.global_count(k) <= before.global_count(k), k
+        assert before.global_count(k) - after.global_count(k) == \
+            (before.edge_count(u, v, k) if k >= 2 else 0), k

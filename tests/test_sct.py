@@ -1,4 +1,5 @@
-from collections import Counter
+import itertools
+import random
 
 import pytest
 
@@ -102,17 +103,33 @@ def test_restrict_reindexes_and_keeps_ascending_members():
     assert sub.members == (0, 3, 4)
 
 
+def _clique_rich_graph(seed):
+    """Overlapping cliques, a clique less a matching, a star and isolated
+    vertices: many subproblems are complete or edge-free."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(3):
+        edges += itertools.combinations(rng.sample(range(24), 6), 2)
+    near = range(24, 33)
+    edges += [(u, v) for u, v in itertools.combinations(near, 2)
+              if (u - 24) // 2 != (v - 24) // 2 or u % 2 == v % 2]
+    edges += [(33, v) for v in range(34, 40)]
+    return Graph.from_edges(edges, n=44)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_materialize_matches_traverse(seed):
-    g = random_gnp(4 + seed, 0.5, 300 + seed)
-    o = degeneracy_orient(g)
-    paths = []
-    stats = traverse(g, o, lambda h, p: paths.append((tuple(h), tuple(p))))
-    tree = materialize_sct(g, o)
-    assert tree.node_count() == stats.node_count
-    assert tree.leaf_count() == stats.leaf_count
-    tree_paths = [(h, p) for h, p in tree.iter_paths()]
-    assert Counter(tree_paths) == Counter(paths)
+    # The recursive walk stops its pivot scan early; the breadth-first
+    # build scans every vertex. Same tree: same leaves in the same order.
+    for g in (random_gnp(4 + seed, 0.5, 300 + seed), _clique_rich_graph(seed)):
+        o = degeneracy_orient(g)
+        paths = []
+        stats = traverse(g, o,
+                         lambda h, p: paths.append((tuple(h), tuple(p))))
+        tree = materialize_sct(g, o)
+        assert tree.node_count() == stats.node_count
+        assert tree.leaf_count() == stats.leaf_count
+        assert list(tree.iter_paths()) == paths
 
 
 @pytest.mark.parametrize("seed", range(10))
