@@ -7,15 +7,15 @@ per-vertex, and per-edge clique counts off the leaves. See
 ``cliquecount`` CLI for the command-line surface.
 """
 
-from .counting import CountTables, accumulate_leaf, count, max_clique_size, pascal_rows
+from .counting import CountTables, accumulate_leaf, count, pascal_rows
 from .degeneracy import DegeneracyOrientation, degeneracy_orient, degeneracy_stats
 from .errors import (CliqueCountError, CounterOverflowError,
                      EdgeListParseError, SizeLimitError)
 from .graph import Graph, edge_list_text, load_edge_list, write_edge_list
 from .oracle import CliqueCensus, compare, enumerate_all_cliques
 from .parallel import WorkerResult, count_global_parallel
-from .sct import (PathLabels, SctNode, SubProblem, TraversalStats,
-                  materialize_sct, traverse, verify_unique_representation)
+from .sct import (PathLabels, SctNode, TraversalStats, materialize_sct,
+                  traverse, verify_unique_representation)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "PathLabels",
     "SctNode",
     "SizeLimitError",
-    "SubProblem",
     "TraversalStats",
     "WorkerResult",
     "accumulate_leaf",
@@ -43,7 +42,6 @@ __all__ = [
     "enumerate_all_cliques",
     "load_edge_list",
     "materialize_sct",
-    "max_clique_size",
     "pascal_rows",
     "traverse",
     "verify_unique_representation",

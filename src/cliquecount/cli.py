@@ -27,7 +27,7 @@ from . import counting, oracle
 from .degeneracy import degeneracy_orient, degeneracy_stats
 from .errors import CliqueCountError, CounterOverflowError
 from .graph import Graph, load_edge_list
-from .sct import materialize_sct
+from .sct import DEFAULT_NODE_CAP, materialize_sct
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="unbounded exact counters (default)")
     counter_group.add_argument("--fast-counters", dest="counters",
                                action="store_const", const=counting.FAST,
-                               help="fixed-width counters with overflow "
-                                    "checking; aborts rather than wrap")
+                               help="counts checked against the signed "
+                                    "64-bit range; aborts rather than wrap")
     count_p.set_defaults(func=cmd_count)
 
     stats_p = sub.add_parser("stats", help="degeneracy and core summary")
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_p = sub.add_parser("inspect-sct",
                                help="dump the materialized clique tree")
     inspect_p.add_argument("input", help="edge-list path, or - for stdin")
-    inspect_p.add_argument("--cap", type=int, default=10 ** 6,
+    inspect_p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP,
                            help="refuse trees with more nodes than this")
     inspect_p.add_argument("--as-records", action="store_true",
                            help="flat node records instead of indented text")

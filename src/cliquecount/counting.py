@@ -3,9 +3,9 @@
 Every leaf of the clique tree contributes binomial-weighted increments:
 a path with hold set H and pivot set P represents C(|P|, i) cliques of
 size |H| + i for each i, and membership of a vertex or edge in H versus P
-decides which binomial row applies. Counters are exact Python integers by
-default; a fixed-width checked mode is available for speed on graphs
-whose counts fit 64 bits.
+decides which binomial row applies. Counters are exact Python integers;
+the "fast" counter mode adds a check that every count fits the signed
+64-bit range, and aborts otherwise.
 """
 
 from __future__ import annotations
@@ -417,11 +417,6 @@ def _walk_root(rows: list[int], tally: defaultdict,
     return nodes
 
 
-def max_clique_size(tables: CountTables) -> int:
-    """Largest k with a nonzero global count; 0 for the empty graph."""
-    return tables.max_clique_size()
-
-
 def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
           max_k: int | None = None, threads: int = 1,
           counters: str = EXACT,
@@ -429,11 +424,12 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
     """Count k-cliques for all k (or up to ``max_k``).
 
     Runs the degeneracy orientation and the clique-tree walk with the
-    leaf-accumulation rules. Global-only counting uses a fused kernel and
+    leaf-accumulation rules. Global-only counting uses a fused engine and
     can fan root subproblems across ``threads`` worker processes; local
     counting is single-threaded. ``counters`` selects "exact" (unbounded
-    integers, the default) or "fast" (fixed-width with overflow checking;
-    aborts rather than wrap).
+    integers, the default) or "fast" (the same counts, checked against
+    the signed 64-bit range: CounterOverflowError if any count exceeds
+    it, never a wrapped value).
     """
     if counters not in (EXACT, FAST):
         raise ValueError(f"unknown counter mode: {counters!r}")
@@ -443,14 +439,12 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
         raise ValueError("threads must be >= 1")
     if orientation is None:
         orientation = degeneracy_orient(graph)
-    bound = FAST_COUNTER_MAX if counters == FAST else None
 
     if per_vertex or per_edge:
         if threads > 1:
             log.warning("local clique counting is single-threaded; "
                         "ignoring threads=%d", threads)
-        tables = CountTables(graph, per_vertex=per_vertex, per_edge=per_edge,
-                             counter_bound=bound)
+        tables = CountTables(graph, per_vertex=per_vertex, per_edge=per_edge)
         binomial = pascal_rows(orientation.alpha + 1)
         sink = lambda hold, pivots: accumulate_leaf(
             tables, hold, pivots, binomial, max_k)
@@ -458,33 +452,23 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
     elif threads > 1:
         from .parallel import count_global_parallel
         tables = count_global_parallel(graph, orientation, workers=threads,
-                                       max_k=max_k, counters=counters)
+                                       max_k=max_k)
     else:
-        tables = _count_global_sequential(graph, orientation, max_k, counters)
+        tables = _count_global_sequential(graph, orientation, max_k)
     tables._trim(max_k)
-    tables._enforce_bound()
+    if counters == FAST:
+        tables.counter_bound = FAST_COUNTER_MAX
+        tables._enforce_bound()
     tables.alpha = orientation.alpha
     return tables
 
 
-def _count_global_sequential(graph, orientation, max_k, counters) -> CountTables:
-    bound = FAST_COUNTER_MAX if counters == FAST else None
-    tables = CountTables(graph, counter_bound=bound)
-    alpha = orientation.alpha
-    if counters == FAST:
-        from . import fastpath
-        if fastpath.usable(alpha):
-            counts, nodes, leaves, depth = fastpath.count_global(
-                orientation, max_hold=max_k)
-            tables.global_counts = counts
-            tables.stats = TraversalStats(nodes, leaves, depth)
-            return tables
-        log.info("fast counters unavailable here (alpha=%d, numba=%s); "
-                 "using checked exact counters", alpha, fastpath.HAVE_NUMBA)
-    counts = [0] * (alpha + 2)
+def _count_global_sequential(graph, orientation, max_k) -> CountTables:
+    tables = CountTables(graph)
+    counts = [0] * (orientation.alpha + 2)
     nodes, leaves, depth = count_roots_global(
-        orientation, np.arange(graph.n), counts, pascal_rows(alpha + 1),
-        max_hold=max_k)
+        orientation, np.arange(graph.n), counts,
+        pascal_rows(orientation.alpha + 1), max_hold=max_k)
     tables.global_counts = counts
     tables.stats = TraversalStats(nodes, leaves, depth)
     return tables

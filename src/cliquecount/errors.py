@@ -18,10 +18,9 @@ class SizeLimitError(CliqueCountError):
 
 
 class CounterOverflowError(CliqueCountError):
-    """A bounded-width clique counter overflowed.
+    """A clique count exceeded the signed 64-bit range of fast-counter mode.
 
-    Raised only in fast-counter mode; exact mode uses unbounded integers
-    and cannot overflow.
+    Raised only in fast-counter mode; exact mode has no bound.
     """
 
     def __init__(self, message="clique counter exceeded the fixed-width range; "

@@ -18,11 +18,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import counting, fastpath
+from . import counting
 from .degeneracy import DegeneracyOrientation
 from .graph import Graph
 from .sct import TraversalStats
@@ -48,19 +48,12 @@ class WorkerResult:
 class _SharedState:
     orientation: DegeneracyOrientation
     max_hold: int | None
-    counters: str
-    binomial: list[list[int]] = field(default_factory=list)
-    prepared: tuple | None = None
+    binomial: list[list[int]]
 
 
 def _worker_count(batch) -> WorkerResult:
     shared = _SHARED
     o = shared.orientation
-    if shared.counters == counting.FAST:
-        counts, nodes, leaves, depth = fastpath.count_global(
-            o, roots=batch, max_hold=shared.max_hold,
-            prepared=shared.prepared)
-        return WorkerResult(counts, nodes, leaves, depth)
     counts = [0] * (o.alpha + 2)
     nodes, leaves, depth = counting.count_roots_global(
         o, batch, counts, shared.binomial, max_hold=shared.max_hold)
@@ -74,8 +67,8 @@ def _root_batches(orientation: DegeneracyOrientation, n_batches: int):
 
 
 def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
-                          workers: int, max_k: int | None = None,
-                          counters: str = counting.EXACT) -> "counting.CountTables":
+                          workers: int, max_k: int | None = None
+                          ) -> "counting.CountTables":
     """Global-only counting with root subproblems fanned across workers.
 
     Bit-identical to the sequential count for every ``workers`` value;
@@ -84,38 +77,24 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
     global _SHARED
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bound = counting.FAST_COUNTER_MAX if counters == counting.FAST else None
-    tables = counting.CountTables(graph, counter_bound=bound)
+    tables = counting.CountTables(graph)
     tables.alpha = orientation.alpha
     if graph.n == 0:
         tables.stats = TraversalStats()
         return tables
     if workers == 1:
-        tables = counting._count_global_sequential(graph, orientation, max_k,
-                                                   counters)
+        tables = counting._count_global_sequential(graph, orientation, max_k)
         tables._trim(max_k)
-        tables._enforce_bound()
         tables.alpha = orientation.alpha
         return tables
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-forking platform
         log.warning("fork start method unavailable; counting sequentially")
-        return count_global_parallel(graph, orientation, 1, max_k, counters)
+        return count_global_parallel(graph, orientation, 1, max_k)
 
-    use_fast = counters == counting.FAST and fastpath.usable(orientation.alpha)
-    shared = _SharedState(orientation, max_hold=max_k,
-                          counters=counting.FAST if use_fast else counting.EXACT)
-    if use_fast:
-        fastpath.warm_up()  # compile before forking
-        shared.prepared = fastpath.prepare(orientation)
-    else:
-        if counters == counting.FAST:
-            log.info("fast counters unavailable (alpha=%d, numba=%s); "
-                     "workers use checked exact counters",
-                     orientation.alpha, fastpath.HAVE_NUMBA)
-        shared.binomial = counting.pascal_rows(orientation.alpha + 1)
-
+    shared = _SharedState(orientation, max_k,
+                          counting.pascal_rows(orientation.alpha + 1))
     n_batches = min(graph.n, workers * BATCHES_PER_WORKER)
     batches = _root_batches(orientation, n_batches)
     _SHARED = shared
@@ -137,5 +116,4 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
     tables.global_counts = merged
     tables.stats = stats
     tables._trim(max_k)
-    tables._enforce_bound()
     return tables

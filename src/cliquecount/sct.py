@@ -6,17 +6,16 @@ of its hold-labeled links H(T) and pivot-labeled links P(T), and the
 cliques represented by T are exactly H(T) union Q over all subsets Q of
 P(T), each produced by exactly one (path, subset) pair.
 
-Two realizations are provided. ``traverse`` walks the tree depth-first
-while storing only the current path (the production path: counting hooks
-in at the leaves). ``materialize_sct`` builds the explicit node structure
-breadth-first for inspection and cross-checking on small graphs.
+``traverse`` walks the tree depth-first while storing only the current
+path; local counting hooks in at the leaves. ``materialize_sct`` records
+the same walk into explicit nodes, for inspection and cross-checking on
+small graphs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import SizeLimitError
@@ -44,73 +43,11 @@ class TraversalStats:
     max_depth: int = 0
 
 
-class SubProblem:
-    """An induced subgraph, locally re-indexed with bitmask adjacency rows.
-
-    ``members`` maps local index -> global vertex id, ascending, so the
-    lowest local index is also the lowest global id; pivot tie-breaking
-    and child ordering rely on this. ``rows[i]`` has bit j set iff local
-    vertices i and j are adjacent.
-    """
-
-    __slots__ = ("size", "members", "rows")
-
-    def __init__(self, members: Sequence[int], rows: Sequence[int]):
-        self.size = len(members)
-        self.members = tuple(members)
-        self.rows = list(rows)
-
-    @classmethod
-    def from_vertices(cls, graph: Graph, vertices: Sequence[int]) -> "SubProblem":
-        members = sorted(int(v) for v in vertices)
-        index = {v: i for i, v in enumerate(members)}
-        rows = [0] * len(members)
-        for i, v in enumerate(members):
-            for u in graph.neighbors(v):
-                j = index.get(int(u))
-                if j is not None:
-                    rows[i] |= 1 << j
-        return cls(members, rows)
-
-    def restrict(self, keep: Sequence[int]) -> "SubProblem":
-        """Induced subproblem on the given local indices, re-indexed."""
-        keep = sorted(keep)
-        mask = 0
-        for i in keep:
-            if not 0 <= i < self.size:
-                raise ValueError(f"local index {i} out of range [0, {self.size})")
-            mask |= 1 << i
-        members = [self.members[i] for i in keep]
-        rows = []
-        for i in keep:
-            row = self.rows[i] & mask
-            packed = 0
-            for new_j, j in enumerate(keep):
-                if row >> j & 1:
-                    packed |= 1 << new_j
-            rows.append(packed)
-        return SubProblem(members, rows)
-
-    def select_pivot(self) -> int:
-        """Local index with the most in-subproblem neighbors, lowest id on ties."""
-        if self.size == 0:
-            raise ValueError("cannot select a pivot in an empty subproblem")
-        best, best_deg = 0, -1
-        for i in range(self.size):
-            d = self.rows[i].bit_count()
-            if d > best_deg:
-                best, best_deg = i, d
-        return best
-
-    def neighbor_indices(self, i: int) -> list[int]:
-        row = self.rows[i]
-        return [j for j in range(self.size) if row >> j & 1]
-
-
 def traverse(graph: Graph,
              orientation: DegeneracyOrientation | None = None,
              sink: Callable[[list, list], None] | None = None,
-             max_hold: int | None = None) -> TraversalStats:
+             max_hold: int | None = None, *,
+             _on_node=None) -> TraversalStats:
     """Depth-first walk of the clique tree, storing only the current path.
 
     For every vertex v (a hold link at the root) the walk recurses on the
@@ -127,6 +64,11 @@ def traverse(graph: Graph,
     call, so copy them if you keep them. With ``max_hold`` set, branches
     whose hold count would exceed it are pruned before recursing, which
     preserves all leaves with at most ``max_hold`` hold vertices.
+
+    ``_on_node(mask, members, hold, pivots)``, if given, is called at every
+    node below the root before its children: the node's label is the set
+    bits of ``mask`` mapped through ``members``, and the live path lists
+    end with the node's link. ``materialize_sct`` records the tree this way.
 
     Native recursion is used deliberately: the path length is bounded by
     alpha + 1 links, far below the interpreter limit.
@@ -147,6 +89,8 @@ def traverse(graph: Graph,
 
     def walk(mask: int) -> None:
         stats.node_count += 1
+        if _on_node is not None:
+            _on_node(mask, members, hold, pivots)
         if mask == 0:
             stats.leaf_count += 1
             depth = len(hold) + len(pivots)
@@ -192,6 +136,8 @@ def traverse(graph: Graph,
         s = len(members)
         hold.append(v)
         if s == 0:
+            if _on_node is not None:
+                _on_node(0, members, hold, pivots)
             stats.node_count += 1
             stats.leaf_count += 1
             if not stats.max_depth:
@@ -307,48 +253,44 @@ class SctNode:
 def materialize_sct(graph: Graph,
                     orientation: DegeneracyOrientation | None = None,
                     node_cap: int = DEFAULT_NODE_CAP) -> SctNode:
-    """Build the explicit clique tree breadth-first.
+    """Build the explicit clique tree of ``traverse``'s walk.
 
     Intended for small graphs; raises SizeLimitError once more than
-    ``node_cap`` non-root nodes have been created. The resulting tree has
-    the same leaf multiset of (hold, pivot) path labels as ``traverse``.
+    ``node_cap`` non-root nodes have been created. Children keep the
+    walk's order (pivot link first, then hold links by ascending id), so
+    the tree's leaves are ``traverse``'s leaves in the same order.
     """
     if orientation is None:
         orientation = degeneracy_orient(graph)
     root = SctNode(range(graph.n), None, "root")
+    # path[d] is the node at depth d on the walk's current path, with the
+    # number of pivot links above and at it.
+    path = [(root, 0)]
     created = 0
-    queue: deque[tuple[SctNode, SubProblem]] = deque()
 
-    def attach(parent, members_rows, link_vertex, link_kind):
+    def record(mask, members, hold, pivots):
         nonlocal created
         created += 1
         if created > node_cap:
             raise SizeLimitError(
                 f"clique tree exceeds the node cap ({node_cap}); "
                 "raise node_cap to materialize anyway")
-        sub = members_rows
-        node = SctNode(sub.members, link_vertex, link_kind)
+        depth = len(hold) + len(pivots)
+        parent, parent_pivots = path[depth - 1]
+        label = []
+        while mask:
+            low = mask & -mask
+            label.append(members[low.bit_length() - 1])
+            mask ^= low
+        if len(pivots) > parent_pivots:
+            node = SctNode(label, pivots[-1], "pivot")
+        else:
+            node = SctNode(label, hold[-1], "hold")
         parent.children.append(node)
-        queue.append((node, sub))
-        return node
+        del path[depth:]
+        path.append((node, len(pivots)))
 
-    for v in range(graph.n):
-        out = orientation.out_neighbors[v]
-        attach(root, SubProblem.from_vertices(graph, out), v, "hold")
-
-    while queue:
-        node, sub = queue.popleft()
-        if sub.size == 0:
-            continue
-        p = sub.select_pivot()
-        attach(node, sub.restrict(sub.neighbor_indices(p)),
-               sub.members[p], "pivot")
-        non_neighbors = [i for i in range(sub.size)
-                         if i != p and not sub.rows[p] >> i & 1]
-        for seen, i in enumerate(non_neighbors):
-            earlier = set(non_neighbors[:seen])
-            keep = [j for j in sub.neighbor_indices(i) if j not in earlier]
-            attach(node, sub.restrict(keep), sub.members[i], "hold")
+    traverse(graph, orientation, _on_node=record)
     return root
 
 

@@ -283,6 +283,27 @@ def test_inspect_sct_records_and_cap(capsys, tmp_path):
     assert "node cap" in err
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_inspect_sct_golden_dumps(capsys):
+    # Two overlapping cliques, a clique less a matching, a star and
+    # isolated vertices, under sparse labels; its tree has 58 nodes.
+    path = os.path.join(DATA, "sct_golden.txt")
+    for flags, name in (((), "sct_golden.tree.txt"),
+                        (("--as-records",), "sct_golden.records.tsv")):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            expected = fh.read()
+        assert run_cli(capsys, "inspect-sct", path, *flags) == (
+            0, expected, "")
+        assert run_cli(capsys, "inspect-sct", path, *flags,
+                       "--cap", "58") == (0, expected, "")
+        assert run_cli(capsys, "inspect-sct", path, *flags,
+                       "--cap", "57") == (
+            1, "", "error: clique tree exceeds the node cap (57); "
+                   "raise node_cap to materialize anyway\n")
+
+
 def test_fast_counter_overflow_exit_code(capsys, tmp_path):
     edges = []
     for c in range(11):

@@ -6,8 +6,7 @@ import pytest
 
 from cliquecount import (CounterOverflowError, CountTables, Graph,
                          accumulate_leaf, compare, count, degeneracy_orient,
-                         enumerate_all_cliques, max_clique_size, pascal_rows,
-                         traverse)
+                         enumerate_all_cliques, pascal_rows, traverse)
 from cliquecount.counting import FAST_COUNTER_MAX
 
 from conftest import (complete_graph, empty_graph, petersen_graph, random_gnp)
@@ -182,9 +181,9 @@ def test_random_graph_matches_oracle(seed):
 
 
 def test_max_clique_size():
-    assert max_clique_size(count(complete_graph(5))) == 5
-    assert max_clique_size(count(empty_graph(3))) == 1
-    assert max_clique_size(count(empty_graph(0))) == 0
+    assert count(complete_graph(5)).max_clique_size() == 5
+    assert count(empty_graph(3)).max_clique_size() == 1
+    assert count(empty_graph(0)).max_clique_size() == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -248,8 +247,9 @@ def test_fast_counters_overflow_aborts():
         edges.extend((base + i, base + j)
                      for i in range(63) for j in range(i + 1, 63))
     g = Graph.from_edges(edges)
-    with pytest.raises(CounterOverflowError, match="--exact"):
-        count(g, counters="fast")
+    for threads in (1, 2):
+        with pytest.raises(CounterOverflowError, match="--exact"):
+            count(g, threads=threads, counters="fast")
     # exact mode on the same graph is fine
     assert count(g).global_count(31) == 11 * math.comb(63, 31)
 
@@ -402,59 +402,3 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             par = count_global_parallel(g, o, workers=2, max_k=max_k)
             assert par.global_counts == counts, (seed, max_k)
             assert par.stats == stats, (seed, max_k)
-
-
-# Without numba, fastpath's ``njit`` is a no-op decorator, so forcing
-# HAVE_NUMBA runs the fixed-width kernel itself as plain Python.
-@pytest.fixture
-def python_kernel(monkeypatch):
-    from cliquecount import fastpath
-    monkeypatch.setattr(fastpath, "HAVE_NUMBA", True)
-    return fastpath
-
-
-@pytest.mark.parametrize("build", [
-    lambda seed: random_gnp(20, 0.5, 1200 + seed),
-    lambda seed: random_gnp(40, 0.2, 1300 + seed),
-    _mixed_graph,
-])
-def test_fast_kernel_matches_exact_engine(build, python_kernel):
-    for seed in (1, 2):
-        g = build(seed)
-        o = degeneracy_orient(g)
-        assert python_kernel.usable(o.alpha)
-        for max_k in (None, 1, 2, 3, 5):
-            exact = count(g, max_k=max_k, orientation=o)
-            fast = count(g, max_k=max_k, orientation=o, counters="fast")
-            assert fast.global_counts == exact.global_counts, (seed, max_k)
-            assert fast.stats == exact.stats, (seed, max_k)
-    par = count(g, threads=2, counters="fast")
-    full = count(g)
-    assert par.global_counts == full.global_counts
-    assert par.stats == full.stats
-
-
-def test_fast_kernel_detects_overflow_without_wrapping(python_kernel,
-                                                       monkeypatch):
-    # Eleven disjoint K63: alpha is 62, within the kernel's mask width,
-    # and 11 * C(63, 31) passes 2^63 - 1 while 10 * C(63, 31) does not.
-    edges = []
-    for c in range(11):
-        base = c * 63
-        edges.extend((base + i, base + j)
-                     for i in range(63) for j in range(i + 1, 63))
-    g = Graph.from_edges(edges)
-    kernel = python_kernel._kernel
-    seen = []
-    monkeypatch.setattr(python_kernel, "_kernel", lambda *args: (
-        seen.append(args[3]) or kernel(*args)))
-    with pytest.raises(CounterOverflowError, match="--exact"):
-        count(g, counters="fast")
-    (counts,) = seen
-    # Refused adds leave every counter in range and at most its true value;
-    # counters that never reach the bound are exact.
-    for k, c in enumerate(counts.tolist()):
-        true = 11 * math.comb(63, k) if k else 0
-        assert 0 <= c <= min(true, FAST_COUNTER_MAX), k
-        if true <= FAST_COUNTER_MAX:
-            assert c == true, k

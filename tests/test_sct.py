@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from cliquecount import (Graph, SizeLimitError, SubProblem, degeneracy_orient,
+from cliquecount import (Graph, SizeLimitError, degeneracy_orient,
                          enumerate_all_cliques, materialize_sct, traverse,
                          verify_unique_representation)
 
-from conftest import (complete_graph, empty_graph, path_graph, petersen_graph,
-                      random_gnp)
+from conftest import (complete_graph, empty_graph, petersen_graph,
+                      quadratic_peel, random_gnp)
 
 
 def collect_paths(graph, max_hold=None):
@@ -71,38 +71,6 @@ def test_empty_graph_root_only():
     assert (stats.node_count, stats.leaf_count, stats.max_depth) == (0, 0, 0)
 
 
-def test_select_pivot_tie_breaks():
-    k3 = SubProblem.from_vertices(complete_graph(3), [0, 1, 2])
-    assert k3.select_pivot() == 0
-    star = SubProblem.from_vertices(
-        Graph.from_edges([(0, 1), (0, 2), (0, 3)]), [0, 1, 2, 3])
-    assert star.members[star.select_pivot()] == 0
-    two_edges = SubProblem.from_vertices(
-        Graph.from_edges([(0, 1), (2, 3)]), [0, 1, 2, 3])
-    assert two_edges.select_pivot() == 0
-    with pytest.raises(ValueError):
-        SubProblem.from_vertices(empty_graph(0), []).select_pivot()
-
-
-def test_restrict():
-    k4 = SubProblem.from_vertices(complete_graph(4), [0, 1, 2, 3])
-    k3 = k4.restrict([0, 1, 2])
-    assert k3.size == 3
-    assert all(row.bit_count() == 2 for row in k3.rows)
-    assert k4.restrict([]).size == 0
-    path = SubProblem.from_vertices(path_graph(3), [0, 1, 2])
-    ends = path.restrict([0, 2])
-    assert ends.size == 2 and ends.rows == [0, 0]
-    with pytest.raises(ValueError):
-        k4.restrict([5])
-
-
-def test_restrict_reindexes_and_keeps_ascending_members():
-    sp = SubProblem.from_vertices(complete_graph(5), [0, 2, 3, 4])
-    sub = sp.restrict([2, 0, 3])  # unsorted on purpose
-    assert sub.members == (0, 3, 4)
-
-
 def _clique_rich_graph(seed):
     """Overlapping cliques, a clique less a matching, a star and isolated
     vertices: many subproblems are complete or edge-free."""
@@ -119,8 +87,7 @@ def _clique_rich_graph(seed):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_materialize_matches_traverse(seed):
-    # The recursive walk stops its pivot scan early; the breadth-first
-    # build scans every vertex. Same tree: same leaves in the same order.
+    # The recorded tree has the walk's shape and its leaves in walk order.
     for g in (random_gnp(4 + seed, 0.5, 300 + seed), _clique_rich_graph(seed)):
         o = degeneracy_orient(g)
         paths = []
@@ -130,6 +97,53 @@ def test_materialize_matches_traverse(seed):
         assert tree.node_count() == stats.node_count
         assert tree.leaf_count() == stats.leaf_count
         assert list(tree.iter_paths()) == paths
+
+
+def _expected_children(graph, label, rank=None):
+    """(kind, link vertex, label) of a node's children, from adjacency alone.
+
+    At the root (``rank`` given) every vertex is a hold link labelled with
+    its later neighbours in the peel order. Below it the first child is
+    the pivot p, the lowest id of maximum degree within the label,
+    labelled N(p) & label; then each non-neighbour x of p, ascending, is a
+    hold link labelled N(x) & label minus the earlier non-neighbours.
+    """
+    adjacent = graph.are_adjacent
+    if rank is not None:
+        return [("hold", v, tuple(u for u in label if adjacent(v, u)
+                                  and rank[u] > rank[v])) for v in label]
+    if not label:
+        return []
+    degree = {x: sum(adjacent(x, y) for y in label) for x in label}
+    p = min(label, key=lambda x: (-degree[x], x))
+    children = [("pivot", p, tuple(y for y in label if adjacent(p, y)))]
+    earlier = set()
+    for x in label:
+        if x != p and not adjacent(p, x):
+            children.append(("hold", x, tuple(
+                y for y in label if adjacent(x, y) and y not in earlier)))
+            earlier.add(x)
+    return children
+
+
+def assert_tree_follows_pivot_rule(graph, tree):
+    order, _ = quadratic_peel(graph)
+    rank = {v: i for i, v in enumerate(order)}
+    assert tree.label == tuple(range(graph.n))
+    nodes = [(tree, rank)]
+    while nodes:
+        node, node_rank = nodes.pop()
+        got = [(c.link_kind, c.link_vertex, c.label) for c in node.children]
+        assert got == _expected_children(graph, node.label, node_rank), (
+            node.link_kind, node.link_vertex, node.label)
+        nodes.extend((child, None) for child in node.children)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_tree_nodes_follow_pivot_rule(seed):
+    for g in (random_gnp(4 + seed, 0.5, 300 + seed),
+              random_gnp(8 + seed, 0.8, 700 + seed), _clique_rich_graph(seed)):
+        assert_tree_follows_pivot_rule(g, materialize_sct(g))
 
 
 @pytest.mark.parametrize("seed", range(10))
