@@ -7,7 +7,7 @@ per-vertex, and per-edge clique counts off the leaves. See
 ``cliquecount`` CLI for the command-line surface.
 """
 
-from .counting import CountTables, accumulate_leaf, count, pascal_rows
+from .counting import CountTables, LeafBatches, count, pascal_rows
 from .degeneracy import DegeneracyOrientation, degeneracy_orient, degeneracy_stats
 from .errors import (CliqueCountError, CounterOverflowError,
                      EdgeListParseError, SizeLimitError)
@@ -27,12 +27,12 @@ __all__ = [
     "DegeneracyOrientation",
     "EdgeListParseError",
     "Graph",
+    "LeafBatches",
     "PathLabels",
     "SctNode",
     "SizeLimitError",
     "TraversalStats",
     "WorkerResult",
-    "accumulate_leaf",
     "compare",
     "count",
     "count_global_parallel",

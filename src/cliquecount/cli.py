@@ -23,6 +23,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import counting, oracle
 from .degeneracy import degeneracy_orient, degeneracy_stats
 from .errors import CliqueCountError, CounterOverflowError
@@ -82,19 +84,21 @@ def _write_global_csv(tables, out) -> None:
 
 
 def _write_per_vertex_csv(tables, out) -> None:
-    for v, row in enumerate(tables.per_vertex):
-        for k in range(1, len(row)):
-            if row[k]:
-                out.write(f"{v},{k},{row[k]}\n")
+    for vs, ks, cs in tables.per_vertex.entries():
+        out.write("".join([f"{v},{k},{c}\n"
+                           for v, k, c in zip(vs.tolist(), ks.tolist(), cs)]))
 
 
 def _write_per_edge_csv(tables, out) -> None:
     # Streams in canonical edge order; per-edge output can be very large.
-    for eid, (u, v) in enumerate(tables.edge_keys):
-        row = tables.per_edge[eid]
-        for i, c in enumerate(row):
-            if c:
-                out.write(f"{u},{v},{i + 2},{c}\n")
+    # A chunk's edges are formatted once each, as line prefixes "u,v,".
+    for eids, ks, cs in tables.per_edge.entries():
+        first = int(eids[0])
+        us, vs = np.divmod(tables.edge_codes[first:int(eids[-1]) + 1],
+                           tables.n)
+        prefix = [f"{u},{v}," for u, v in zip(us.tolist(), vs.tolist())]
+        out.write("".join([f"{prefix[i]}{k},{c}\n" for i, k, c in
+                           zip((eids - first).tolist(), ks.tolist(), cs)]))
 
 
 def _json_document(graph, tables) -> dict:
@@ -107,17 +111,15 @@ def _json_document(graph, tables) -> dict:
                    for k, c in enumerate(tables.global_counts) if k > 0},
     }
     if tables.per_vertex is not None:
-        doc["per_vertex"] = {
-            str(v): {str(k): str(c)
-                     for k, c in enumerate(row) if k > 0 and c}
-            for v, row in enumerate(tables.per_vertex) if any(row)
-        }
+        vertices = doc["per_vertex"] = {}
+        for vs, ks, cs in tables.per_vertex.entries():
+            for v, k, c in zip(vs.tolist(), ks.tolist(), cs):
+                vertices.setdefault(str(v), {})[str(k)] = str(c)
     if tables.per_edge is not None:
-        doc["per_edge"] = [
-            [u, v, {str(i + 2): str(c)
-                    for i, c in enumerate(tables.per_edge[eid]) if c}]
-            for eid, (u, v) in enumerate(tables.edge_keys)
-        ]
+        edges = doc["per_edge"] = [[u, v, {}] for u, v in tables.edges()]
+        for eids, ks, cs in tables.per_edge.entries():
+            for eid, k, c in zip(eids.tolist(), ks.tolist(), cs):
+                edges[eid][2][str(k)] = str(c)
     return doc
 
 

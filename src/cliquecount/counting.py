@@ -3,17 +3,19 @@
 Every leaf of the clique tree contributes binomial-weighted increments:
 a path with hold set H and pivot set P represents C(|P|, i) cliques of
 size |H| + i for each i, and membership of a vertex or edge in H versus P
-decides which binomial row applies. Counters are exact Python integers;
-the "fast" counter mode adds a check that every count fits the signed
-64-bit range, and aborts otherwise.
+decides which binomial row applies. Global counters are exact Python
+integers. Local (per-vertex, per-edge) counts live in flat fixed-width
+tables (``LocalTable``) that are exact by construction; ``LeafBatches``
+fills them from ``traverse``'s leaves in numpy batches. The "fast"
+counter mode adds a check that every count fits the signed 64-bit range,
+and aborts otherwise.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import defaultdict
-from operator import add
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +40,22 @@ ROOT_CHUNK_SHARE = 16
 # built in bulk; wider roots are set up one at a time.
 WORD_BITS = 64
 
+# Buffered leaves are added to the local tables once they hold this many
+# incidences (vertices plus vertex pairs). A batch's scratch arrays take
+# about 150 bytes per incidence; the limb planes' headroom (see LocalTable)
+# needs batches far below CARRY_AFTER.
+LEAF_BATCH = 1 << 14
+# Limb width of the planes that hold wide local rows.
+LIMB_BITS = 31
+# Wide rows are carried once this many incidences have been added to them
+# since the last carry; see LocalTable.
+CARRY_AFTER = 1 << 30
+# Rows write out in chunks of about this many table entries.
+WRITE_CHUNK = 1 << 13
+# Leaf rows are added in blocks of about this many table entries, so that
+# the scratch arrays of an addition stay small enough to be cached.
+ADD_BLOCK = 1 << 15
+
 EXACT = "exact"
 FAST = "fast"
 
@@ -51,32 +69,231 @@ def pascal_rows(limit: int) -> list[list[int]]:
     return rows
 
 
+class LocalTable:
+    """Exact local counts of one entity family (vertices or edges), flat.
+
+    Entity e's row holds c_k(e) for k = ``base``, ``base`` + 1, ... in
+    ``flat[offsets[e]:offsets[e + 1]]``. A row is as wide as the largest
+    clique that can hold the entity, capped by max_k. Each entity comes
+    with an upper bound on all its counts, fixed before the walk
+    (``_local_layout``). Where the bound is below 2^62 the row holds exact
+    int64 counts. The other ("wide") entities, ids ``wide`` in ascending
+    order, keep zeros in ``flat``: the i-th one's row is
+    ``planes[:, i, :width]``, one int64 plane per ``LIMB_BITS``-bit limb,
+    least significant first, with enough planes for any count of the
+    graph.
+
+    No count can overflow, so there is no check at run time. Counts only
+    grow, so a narrow entry never exceeds its final count, which is below
+    its bound. Each amount added to it, a leaf tally times C(w, j), counts
+    distinct cliques through the entity, so it is below that bound too.
+    Each incidence adds less than 2^LIMB_BITS to a wide entry's plane.
+    Once ``CARRY_AFTER`` incidences have gone into wide rows since the
+    last carry, ``add`` brings every plane but the top one back below
+    2^LIMB_BITS, and the top one holds at most LIMB_BITS bits of a final
+    count. So no plane entry reaches 2^LIMB_BITS times (1 + CARRY_AFTER +
+    the incidences of one batch), below 2^62. Reads combine the planes
+    into Python integers exactly whether or not they were carried.
+    """
+
+    __slots__ = ("base", "offsets", "flat", "wide", "is_wide", "planes",
+                 "uncarried")
+
+    def __init__(self, base: int, widths: np.ndarray, is_wide: np.ndarray,
+                 limbs: int):
+        self.base = base
+        self.offsets = np.zeros(len(widths) + 1, dtype=np.int64)
+        np.cumsum(widths, out=self.offsets[1:])
+        self.flat = np.zeros(int(self.offsets[-1]), dtype=np.int64)
+        self.is_wide = is_wide
+        self.wide = np.flatnonzero(is_wide)
+        self.planes = np.zeros((limbs if len(self.wide) else 0, len(self.wide),
+                                int(widths[self.wide].max(initial=0))),
+                               dtype=np.int64)
+        self.uncarried = 0
+
+    def add(self, entity, o, w, binomial, limbs, top) -> None:
+        """Add C(w[i], j) to c_{o[i]+j}(entity[i]) for every i and j.
+
+        Increments beyond k = ``top`` are dropped. ``binomial`` holds
+        C(w, j) where it fits int64 (0 elsewhere; no narrow row reads
+        those), and ``limbs(w)`` gives C(w, .) as ``LIMB_BITS``-bit limbs,
+        one row per plane.
+        """
+        keep = o <= top
+        entity, o, w = entity[keep], o[keep], w[keep]
+        span = binomial.shape[0]
+        n_entities = len(self.offsets) - 1
+        # One key per (wide?, o, w, entity); each group of equal
+        # (wide?, o, w) then holds every entity once, with its tally.
+        flag = self.is_wide[entity].astype(np.int64)
+        key = ((flag * span + o) * span + w) * n_entities + entity
+        key, tally = np.unique(key, return_counts=True)
+        entity = key % n_entities
+        group = key // n_entities
+        starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+        for first, last in zip(starts, starts[1:] + [len(key)]):
+            wide, rest = divmod(int(group[first]), span * span)
+            o, w = divmod(rest, span)
+            j = min(w, top - o) + 1
+            lo, hi = o - self.base, o - self.base + j
+            step = max(1, ADD_BLOCK // j)
+            for a in range(first, last, step):
+                b = min(a + step, last)
+                c = tally[a:b, None]
+                if wide:
+                    self.uncarried += int(c.sum())
+                    rows = np.searchsorted(self.wide, entity[a:b])
+                    for plane, limb in zip(self.planes, limbs(w)[:, :j]):
+                        plane[rows, lo:hi] += c * limb
+                else:
+                    at = self.offsets[entity[a:b], None] + np.arange(lo, hi)
+                    self.flat[at] += c * binomial[w, :j]
+        if self.uncarried >= CARRY_AFTER:
+            self.uncarried = 0
+            for lower, upper in zip(self.planes[:-1], self.planes[1:]):
+                upper += lower >> LIMB_BITS
+                lower &= (1 << LIMB_BITS) - 1
+
+    @staticmethod
+    def _combine(limbs: np.ndarray) -> list[int]:
+        """Python integers of limb columns, one row of ``limbs`` per plane."""
+        values = [0] * limbs.shape[1]
+        for plane in limbs[::-1].tolist():
+            values = [(x << LIMB_BITS) + y for x, y in zip(values, plane)]
+        return values
+
+    def row(self, e: int) -> list[int]:
+        """Entity e's full row as Python integers, from k = ``base``."""
+        a, b = int(self.offsets[e]), int(self.offsets[e + 1])
+        if self.is_wide[e]:
+            i = np.searchsorted(self.wide, e)
+            return self._combine(self.planes[:, i, :b - a])
+        return self.flat[a:b].tolist()
+
+    def entries(self):
+        """Yield (entity, k, count) for the nonzero counts, chunk by chunk.
+
+        Each chunk covers a range of entities with about ``WRITE_CHUNK``
+        entries and at least one nonzero count; ``entity`` and ``k`` are
+        arrays, ``count`` a list of Python integers, all in row order.
+        """
+        offsets = self.offsets
+        stops = np.searchsorted(
+            offsets, np.arange(WRITE_CHUNK, offsets[-1], WRITE_CHUNK))
+        bounds = np.unique(np.concatenate(
+            ([0], stops, [len(offsets) - 1]))).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a = offsets[lo]
+            values = self.flat[a:offsets[hi]]
+            w0, w1 = np.searchsorted(self.wide, (lo, hi)).tolist()
+            if w0 < w1:
+                values = values.astype(object)
+                for i in range(w0, w1):
+                    e = self.wide[i]
+                    s, t = offsets[e:e + 2] - a
+                    values[s:t] = self._combine(self.planes[:, i, :t - s])
+            at = np.flatnonzero(values)
+            if not len(at):
+                continue
+            entity = np.searchsorted(offsets, at + a, side="right") - 1
+            k = at + a - offsets[entity] + self.base
+            yield entity, k, values[at].tolist()
+
+    def max_count(self) -> int:
+        return max([int(self.flat.max(initial=0)),
+                    *(c for e in self.wide.tolist() for c in self.row(e))])
+
+
+def _local_layout(orientation: DegeneracyOrientation, max_k: int | None,
+                  per_vertex: bool, per_edge: bool):
+    """Row widths and wide rows of the local tables.
+
+    Returns (vertex widths, wide vertices, edge codes, edge widths, wide
+    edges, limbs): the vertex parts are None unless ``per_vertex``, the
+    edge parts unless ``per_edge``. Edges are coded u * n + v with u < v,
+    ascending. A row is wide when its count bound may reach 2^62; wide
+    rows get ``limbs`` planes.
+
+    A k-clique through v needs k <= core(v) + 1, and through edge uv it
+    needs k <= min(core u, core v) + 1. Every k-clique has a unique
+    lowest-rank vertex r, and the rest of it lies in N+(r). If r = v, the
+    clique is v and k - 1 of v's od(v) out-neighbors; otherwise r is an
+    in-neighbor of v, and the clique is r, v and k - 2 of the od(r) - 1
+    other out-neighbors of r. So c_k(v) <= C(od v, od v // 2) + sum over
+    r in N-(v) of C(od r - 1, (od r - 1) // 2). For an edge u -> v the same
+    argument gives C(od u - 1, .) + sum over r in N-(u) of C(od r - 2, .).
+    The bounds are float64 sums of at most n < 2^32 terms, each rounded,
+    so they are within a factor 1 + 2^-20 of the exact ones: below 2^61
+    the exact bound is below 2^62. No count passes the number of cliques,
+    at most n * 2^alpha (the subsets of each N+(r), r included), which
+    sets the number of limbs.
+    """
+    n = orientation.n
+    offsets = orientation.out_offsets
+    targets = orientation.out_targets.astype(np.int64)
+    out_deg = np.diff(offsets)
+    source = np.repeat(np.arange(n, dtype=np.int64), out_deg)
+    # C(x, x // 2) at index x + 2 (0 for x = -2, -1), capped at 2^64:
+    # one capped term makes its bound wide anyway.
+    central = np.array([0.0, 0.0] + [
+        float(min(math.comb(x, x // 2), 1 << 64))
+        for x in range(orientation.alpha + 1)])
+    limbs = -(-(orientation.alpha + n.bit_length()) // LIMB_BITS)
+    core = np.asarray(orientation.core_numbers, dtype=np.int64)
+    top = orientation.alpha + 1 if max_k is None else max_k
+    vertex_widths = vertex_wide = None
+    if per_vertex:
+        vertex_widths = np.minimum(core + 1, top) + 1
+        vertex_wide = central[out_deg + 2] + np.bincount(
+            targets, weights=central[out_deg[source] + 1],
+            minlength=n) >= 2.0 ** 61
+    if not per_edge:
+        return vertex_widths, vertex_wide, None, None, None, limbs
+    low = np.minimum(source, targets)
+    codes = low * n + (source + targets - low)
+    order = np.argsort(codes)
+    widths = np.maximum(np.minimum(np.minimum(core[source], core[targets]) + 1,
+                                   top) - 1, 0)
+    into = np.bincount(targets, weights=central[out_deg[source]],
+                       minlength=n)
+    wide = central[out_deg[source] + 1] + into[source] >= 2.0 ** 61
+    return (vertex_widths, vertex_wide, codes[order], widths[order],
+            wide[order], limbs)
+
+
 class CountTables:
     """Global, per-vertex, and per-edge k-clique counts.
 
-    ``global_counts[k]`` is the number of k-cliques; the list is sized to
-    the largest k ever touched. Per-vertex tables mirror that layout per
-    vertex. Per-edge tables are keyed by position in the canonical edge
-    order (u < v, ascending) and start at k = 2, the smallest clique an
-    edge can be part of.
+    ``global_counts[k]`` is the number of k-cliques, as exact integers;
+    the list ends at the largest k with a clique. ``per_vertex`` and
+    ``per_edge`` are ``LocalTable``s (None unless requested): vertex rows
+    start at k = 0, edge rows at k = 2, the smallest clique an edge can be
+    part of. Edge i of ``per_edge`` is ``edge_codes[i]`` = u * n + v, u < v,
+    in the canonical order (ascending (u, v)).
+
+    Queries return 0 for a k outside the table and for a pair that is no
+    edge. A vertex id outside [0, n) or a query on a table that was not
+    requested raises ValueError.
     """
 
     __slots__ = ("n", "global_counts", "per_vertex", "per_edge",
-                 "edge_keys", "edge_index", "counter_bound", "stats", "alpha")
+                 "edge_codes", "counter_bound", "stats", "alpha")
 
     def __init__(self, graph: Graph, per_vertex=False, per_edge=False,
-                 counter_bound=None):
+                 counter_bound=None, orientation=None, max_k=None):
         self.n = graph.n
         self.global_counts: list[int] = [0]
-        self.per_vertex = [[] for _ in range(graph.n)] if per_vertex else None
-        if per_edge:
-            self.edge_keys = list(graph.edges())
-            self.edge_index = {e: i for i, e in enumerate(self.edge_keys)}
-            self.per_edge = [[] for _ in self.edge_keys]
-        else:
-            self.edge_keys = None
-            self.edge_index = None
-            self.per_edge = None
+        self.per_vertex = self.per_edge = self.edge_codes = None
+        if per_vertex or per_edge:
+            if orientation is None:
+                orientation = degeneracy_orient(graph)
+            vw, vwide, self.edge_codes, ew, ewide, limbs = _local_layout(
+                orientation, max_k, per_vertex, per_edge)
+            if per_vertex:
+                self.per_vertex = LocalTable(0, vw, vwide, limbs)
+            if per_edge:
+                self.per_edge = LocalTable(2, ew, ewide, limbs)
         self.counter_bound = counter_bound
         self.stats: TraversalStats | None = None
         self.alpha: int | None = None
@@ -88,16 +305,49 @@ class CountTables:
             return self.global_counts[k]
         return 0
 
+    def _table(self, table, name: str) -> LocalTable:
+        if table is None:
+            raise ValueError(f"{name} counts were not requested; count with "
+                             f"{name.replace('-', '_')}=True")
+        return table
+
+    def _check_vertex(self, v) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+
+    def _edge_id(self, u: int, v: int) -> int | None:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        code = min(u, v) * self.n + max(u, v)
+        i = int(np.searchsorted(self.edge_codes, code))
+        if i < len(self.edge_codes) and self.edge_codes[i] == code:
+            return i
+        return None
+
+    def vertex_row(self, v: int) -> list[int]:
+        """c_k(v) for k = 0 up to v's largest clique."""
+        table = self._table(self.per_vertex, "per-vertex")
+        self._check_vertex(v)
+        return _strip(table.row(v))
+
+    def edge_row(self, u: int, v: int) -> list[int]:
+        """c_k(uv) for k = 2 up to the edge's largest clique ([] for no edge)."""
+        table = self._table(self.per_edge, "per-edge")
+        eid = self._edge_id(u, v)
+        return [] if eid is None else _strip(table.row(eid))
+
     def vertex_count(self, v: int, k: int) -> int:
-        row = self.per_vertex[v]
-        return row[k] if k < len(row) else 0
+        row = self.vertex_row(v)
+        return row[k] if 0 <= k < len(row) else 0
 
     def edge_count(self, u: int, v: int, k: int) -> int:
-        if u > v:
-            u, v = v, u
-        row = self.per_edge[self.edge_index[(u, v)]]
-        i = k - 2
-        return row[i] if 0 <= i < len(row) else 0
+        row = self.edge_row(u, v)
+        return row[k - 2] if 0 <= k - 2 < len(row) else 0
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The per-edge table's edges (u, v), u < v, in row order."""
+        u, v = np.divmod(self.edge_codes, self.n)
+        return list(zip(u.tolist(), v.tolist()))
 
     def max_clique_size(self) -> int:
         for k in range(len(self.global_counts) - 1, 0, -1):
@@ -111,48 +361,46 @@ class CountTables:
     # -- mutation --------------------------------------------------------
 
     def _trim(self, max_k: int | None) -> None:
-        """Drop truncation garbage past max_k, then trailing zeros."""
+        """Drop global counts past max_k, then trailing zeros.
+
+        Local rows are sized to max_k when they are laid out.
+        """
         if max_k is not None:
             del self.global_counts[max_k + 1:]
         while len(self.global_counts) > 1 and self.global_counts[-1] == 0:
             self.global_counts.pop()
-        if self.per_vertex is not None and max_k is not None:
-            for row in self.per_vertex:
-                del row[max_k + 1:]
-        if self.per_edge is not None and max_k is not None:
-            for row in self.per_edge:
-                del row[max_k - 1:]
 
     def _enforce_bound(self) -> None:
         bound = self.counter_bound
         if bound is None:
             return
-        if any(c > bound for c in self.global_counts):
+        if any(c > bound for c in self.global_counts) or any(
+                table is not None and table.max_count() > bound
+                for table in (self.per_vertex, self.per_edge)):
             raise CounterOverflowError()
-        if self.per_vertex is not None:
-            for row in self.per_vertex:
-                if any(c > bound for c in row):
-                    raise CounterOverflowError()
-        if self.per_edge is not None:
-            for row in self.per_edge:
-                if any(c > bound for c in row):
-                    raise CounterOverflowError()
 
 
-def _add_row(row: list[int], start: int, values: list[int]) -> None:
-    """Add ``values`` into ``row`` from index ``start``, growing it to fit."""
-    end = start + len(values)
-    if len(row) < end:
-        row.extend([0] * (end - len(row)))
-    row[start:end] = map(add, row[start:end], values)
+def _strip(row: list[int]) -> list[int]:
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
-def accumulate_leaf(tables: CountTables, hold: Sequence[int],
-                    pivots: Sequence[int], binomial: list[list[int]],
-                    max_k: int | None = None) -> int:
-    """Apply one leaf's increments to the tables; returns how many were made.
+def _add_leaf_rows(counts: list[int], binomial: list[list[int]],
+                   tally) -> None:
+    """Add C(p, i) * leaves to counts[h + i] for each ((h, p), leaves)."""
+    for (h, p), leaf_count in tally:
+        for i, c in enumerate(binomial[p]):
+            counts[h + i] += leaf_count * c
 
-    With h = |hold| and p = |pivots| the increment rules are:
+
+class LeafBatches:
+    """A ``traverse`` sink that adds leaves to CountTables in batches.
+
+    Each leaf's |H|, |P| and vertex ids (hold first) go to flat buffers.
+    Once they hold ``LEAF_BATCH`` incidences, and once more when ``flush``
+    is called after the walk, the batch is added in numpy. With h = |H|
+    and p = |P|, a leaf adds:
 
       global:             C_{h+i}      += C(p, i)    for 0 <= i <= p
       vertex v in hold:   c_{h+i}(v)   += C(p, i)    for 0 <= i <= p
@@ -161,61 +409,94 @@ def accumulate_leaf(tables: CountTables, hold: Sequence[int],
       edge hold-pivot:    c_{h+i+1}(e) += C(p-1, i)  for 0 <= i <= p-1
       edge within pivots: c_{h+i+2}(e) += C(p-2, i)  for 0 <= i <= p-2
 
-    ``max_k`` caps the target clique size; increments beyond it are skipped.
-    Each rule adds one binomial row, cut at ``max_k``, to each table row it
-    touches in a single slice operation; rows grow only as far as the last
-    k they receive.
+    So a vertex or edge with r of its vertices among the pivots adds
+    C(p - r, ·) from k = h + r. A batch tallies these incidences by
+    (entity, h + r, p - r) and adds each distinct one's binomial row,
+    times its tally, in one indexed addition per (h + r, p - r). Vertex
+    pairs come from ``triu_indices`` per leaf size, and edge ids from a
+    binary search on the canonical edge codes. ``max_k`` drops the
+    increments beyond it. Global counts go to ``tables.global_counts``,
+    which starts as alpha + 2 zeros.
     """
-    h = len(hold)
-    p = len(pivots)
 
-    def cut(width, shift):
-        # C(width, i) for each i whose k = h + i + shift is at most max_k.
-        row = binomial[width]
-        if max_k is not None:
-            return row[:max(0, max_k - h - shift + 1)]
-        return row
+    def __init__(self, tables: CountTables, alpha: int,
+                 max_k: int | None = None):
+        self.tables = tables
+        self.top = alpha + 1 if max_k is None else max_k
+        self.rows = pascal_rows(alpha + 1)
+        span = alpha + 2
+        self.span = span
+        tables.global_counts = [0] * span
+        self.binomial = np.array(
+            [[c if c < 2 ** 63 else 0 for c in row] + [0] * (span - len(row))
+             for row in self.rows], dtype=np.int64)
+        self.n_planes = max((t.planes.shape[0] for t in (tables.per_vertex,
+                                                         tables.per_edge)
+                             if t is not None), default=0)
+        self.limb_rows: dict[int, np.ndarray] = {}
+        self.h: list[int] = []
+        self.p: list[int] = []
+        self.ids: list[int] = []
+        self.pending = 0
 
-    row0 = cut(p, 0)
-    row1 = cut(p - 1, 1) if p >= 1 else []
-    row2 = cut(p - 2, 2) if p >= 2 else []
-    n0, n1, n2 = len(row0), len(row1), len(row2)
-    if n0:
-        _add_row(tables.global_counts, h, row0)
-    applied = n0
+    def limbs(self, w: int) -> np.ndarray:
+        """C(w, .) as ``LIMB_BITS``-bit limbs, one row per plane."""
+        limbs = self.limb_rows.get(w)
+        if limbs is None:
+            mask = (1 << LIMB_BITS) - 1
+            limbs = self.limb_rows[w] = np.array(
+                [[c >> (LIMB_BITS * i) & mask for c in self.rows[w]]
+                 for i in range(self.n_planes)], dtype=np.int64)
+        return limbs
 
-    per_vertex = tables.per_vertex
-    if per_vertex is not None:
-        if n0:
-            for v in hold:
-                _add_row(per_vertex[v], h, row0)
-        if n1:
-            for v in pivots:
-                _add_row(per_vertex[v], h + 1, row1)
-        applied += h * n0 + p * n1
+    def __call__(self, hold, pivots) -> None:
+        self.h.append(len(hold))
+        self.p.append(len(pivots))
+        self.ids += hold
+        self.ids += pivots
+        s = len(hold) + len(pivots)
+        self.pending += s * (s + 1) // 2
+        if self.pending >= LEAF_BATCH:
+            self.flush()
 
-    per_edge = tables.per_edge
-    if per_edge is not None:
-        # Per-edge rows start at k = 2.
-        edge_index = tables.edge_index
-        if n0:
-            ordered = sorted(hold)
-            for a, u in enumerate(ordered):
-                for v in ordered[a + 1:]:
-                    _add_row(per_edge[edge_index[u, v]], h - 2, row0)
-        if n1:
-            for u in pivots:
-                for v in hold:
-                    key = (u, v) if u < v else (v, u)
-                    _add_row(per_edge[edge_index[key]], h - 1, row1)
-        if n2:
-            ordered = sorted(pivots)
-            for a, u in enumerate(ordered):
-                for v in ordered[a + 1:]:
-                    _add_row(per_edge[edge_index[u, v]], h, row2)
-        applied += (h * (h - 1) // 2 * n0 + p * h * n1
-                    + p * (p - 1) // 2 * n2)
-    return applied
+    def flush(self) -> None:
+        """Add the buffered leaves to the tables."""
+        if not self.h:
+            return
+        tables = self.tables
+        h = np.array(self.h, dtype=np.int64)
+        p = np.array(self.p, dtype=np.int64)
+        ids = np.array(self.ids, dtype=np.int64)
+        self.h, self.p, self.ids, self.pending = [], [], [], 0
+        span = self.span
+        pairs, leaves = np.unique(h * span + p, return_counts=True)
+        hs, ps = np.divmod(pairs, span)
+        _add_leaf_rows(tables.global_counts, self.rows,
+                       zip(zip(hs.tolist(), ps.tolist()), leaves.tolist()))
+        size = h + p
+        start = np.cumsum(size) - size
+        args = (self.binomial, self.limbs, self.top)
+        if tables.per_vertex is not None:
+            leaf = np.repeat(np.arange(len(h)), size)
+            role = (np.arange(len(ids)) - start[leaf] >= h[leaf]).astype(np.int64)
+            tables.per_vertex.add(ids, h[leaf] + role, p[leaf] - role, *args)
+        if tables.per_edge is not None:
+            parts = []
+            for s in np.unique(size[size > 1]).tolist():
+                at = np.flatnonzero(size == s)
+                a, b = np.triu_indices(s, 1)
+                first = start[at, None]
+                held = h[at, None]
+                role = (a >= held).astype(np.int64) + (b >= held)
+                parts.append((ids[first + a].ravel(), ids[first + b].ravel(),
+                              (held + role).ravel(),
+                              (p[at, None] - role).ravel()))
+            if parts:
+                u, v, o, w = (np.concatenate(x) for x in zip(*parts))
+                low = np.minimum(u, v)
+                eid = np.searchsorted(tables.edge_codes,
+                                      low * tables.n + (u + v - low))
+                tables.per_edge.add(eid, o, w, *args)
 
 
 def count_roots_global(orientation: DegeneracyOrientation, roots,
@@ -296,9 +577,7 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
             tally[key] += leaf_count
     nodes += bare + 2 * edge_free + holds
 
-    for (h, p), leaf_count in tally.items():
-        for i, c in enumerate(binomial[p]):
-            counts[h + i] += leaf_count * c
+    _add_leaf_rows(counts, binomial, tally.items())
     leaves = sum(tally.values())
     max_depth = max((h + p for h, p in tally), default=0)
     return nodes, leaves, max_depth
@@ -444,11 +723,11 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
         if threads > 1:
             log.warning("local clique counting is single-threaded; "
                         "ignoring threads=%d", threads)
-        tables = CountTables(graph, per_vertex=per_vertex, per_edge=per_edge)
-        binomial = pascal_rows(orientation.alpha + 1)
-        sink = lambda hold, pivots: accumulate_leaf(
-            tables, hold, pivots, binomial, max_k)
+        tables = CountTables(graph, per_vertex=per_vertex, per_edge=per_edge,
+                             orientation=orientation, max_k=max_k)
+        sink = LeafBatches(tables, orientation.alpha, max_k)
         tables.stats = traverse(graph, orientation, sink, max_hold=max_k)
+        sink.flush()
     elif threads > 1:
         from .parallel import count_global_parallel
         tables = count_global_parallel(graph, orientation, workers=threads,

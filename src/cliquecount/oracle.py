@@ -156,7 +156,7 @@ def compare(census: CliqueCensus, tables: CountTables) -> ComparisonResult:
                 False, f"global C_{k}: expected {expected}, got {got}")
     if tables.per_vertex is not None:
         for v in range(census.n):
-            width = max(len(census.per_vertex[v]), len(tables.per_vertex[v]))
+            width = max(len(census.per_vertex[v]), len(tables.vertex_row(v)))
             for k in range(1, width):
                 expected = census.vertex_count(v, k)
                 got = tables.vertex_count(v, k)
@@ -165,16 +165,15 @@ def compare(census: CliqueCensus, tables: CountTables) -> ComparisonResult:
                         False,
                         f"vertex {v}, c_{k}: expected {expected}, got {got}")
     if tables.per_edge is not None:
-        census_edges = set(census.per_edge)
-        table_edges = set(tables.edge_keys)
-        if census_edges - table_edges:
-            u, v = sorted(census_edges - table_edges)[0]
+        table_edges = tables.edges()
+        missing = set(census.per_edge) - set(table_edges)
+        if missing:
+            u, v = sorted(missing)[0]
             return ComparisonResult(
                 False, f"edge ({u},{v}) missing from counter tables")
-        for eid, (u, v) in enumerate(tables.edge_keys):
-            row = tables.per_edge[eid]
+        for u, v in table_edges:
             census_row = census.per_edge.get((u, v), [])
-            width = 2 + max(len(row), len(census_row))
+            width = 2 + max(len(tables.edge_row(u, v)), len(census_row))
             for k in range(2, width):
                 expected = census.edge_count(u, v, k)
                 got = tables.edge_count(u, v, k)

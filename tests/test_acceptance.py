@@ -89,7 +89,7 @@ def test_criterion_03_complete_graph_closed_forms():
         tables = count(complete_graph(n), per_edge=True)
         for k in range(1, n + 2):
             assert tables.global_count(k) == math.comb(n, k)
-        for u, v in tables.edge_keys:
+        for u, v in tables.edges():
             for k in range(2, n + 1):
                 assert tables.edge_count(u, v, k) == math.comb(n - 2, k - 2)
     elapsed = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def test_criterion_04_sum_identities():
             assert vertex_sum == k * ck, f"vertex identity at k={k}"
             if k >= 2:
                 edge_sum = sum(full.edge_count(u, v, k)
-                               for u, v in full.edge_keys)
+                               for u, v in full.edges())
                 assert edge_sum == math.comb(k, 2) * ck, f"edge identity k={k}"
             checked += 1
     print(f"\ncriterion 4 PASS: both sum identities hold for {checked} "
@@ -159,10 +159,11 @@ def test_criterion_06_truncation_prefix():
                 partial = count(g, per_vertex=True, per_edge=True, max_k=cap)
                 assert partial.global_counts == full.global_counts[:cap + 1]
                 for v in range(g.n):
-                    assert partial.per_vertex[v] == full.per_vertex[v][:cap + 1]
-                for eid in range(len(full.edge_keys)):
-                    assert partial.per_edge[eid] == \
-                        full.per_edge[eid][:max(cap - 1, 0)]
+                    assert partial.vertex_row(v) == \
+                        full.vertex_row(v)[:cap + 1]
+                for u, v in g.edges():
+                    assert partial.edge_row(u, v) == \
+                        full.edge_row(u, v)[:max(cap - 1, 0)]
         graphs += 1
     print(f"\ncriterion 6 PASS: truncated runs equal full-run prefixes for "
           f"every K on {graphs} graphs")

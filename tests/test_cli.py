@@ -304,6 +304,33 @@ def test_inspect_sct_golden_dumps(capsys):
                    "raise node_cap to materialize anyway\n")
 
 
+def test_count_golden_local_outputs(capsys, tmp_path):
+    # Per-vertex and per-edge counts of the golden input, as CSV (three
+    # files) and as JSON, with and without --max-k 3, byte for byte.
+    path = os.path.join(DATA, "sct_golden.txt")
+    for tag, cap in (("local", ()), ("local-k3", ("--max-k", "3"))):
+        for fmt, names in (("csv", ("csv", "per-vertex.csv", "per-edge.csv")),
+                           ("json", ("json",))):
+            out = tmp_path / f"{tag}.{fmt}"
+            assert run_cli(capsys, "count", path, "--per-vertex",
+                           "--per-edge", *cap, "--format", fmt,
+                           "--output", str(out), "--report", os.devnull
+                           ) == (0, "", "")
+            for name in names:
+                got = (tmp_path / f"{tag}.{name}").read_bytes()
+                with open(os.path.join(DATA, f"sct_golden.{tag}.{name}"),
+                          "rb") as fh:
+                    assert got == fh.read(), name
+
+
+def test_fast_counters_local_k70_exit_code(capsys, tmp_path):
+    path = write_graph(tmp_path, complete_graph(70))
+    code, out, err = run_cli(capsys, "count", path, "--fast-counters",
+                             "--per-vertex", "--per-edge")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--exact" in err
+
+
 def test_fast_counter_overflow_exit_code(capsys, tmp_path):
     edges = []
     for c in range(11):

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from cliquecount import (CounterOverflowError, CountTables, Graph,
-                         accumulate_leaf, compare, count, degeneracy_orient,
-                         enumerate_all_cliques, pascal_rows, traverse)
+from cliquecount import (CounterOverflowError, CountTables,
+                         Graph, LeafBatches, compare, count, counting,
+                         degeneracy_orient, enumerate_all_cliques,
+                         pascal_rows, traverse)
 from cliquecount.counting import FAST_COUNTER_MAX
 
 from conftest import (complete_graph, empty_graph, petersen_graph, random_gnp)
@@ -28,17 +29,27 @@ def test_pascal_rows_exceed_64_bits_exactly():
     assert value > 2 ** 63 - 1
 
 
+def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None):
+    """Tables of the given (hold, pivots) leaves, added by LeafBatches."""
+    o = degeneracy_orient(g)
+    tables = CountTables(g, per_vertex=per_vertex, per_edge=per_edge,
+                         orientation=o, max_k=max_k)
+    batches = LeafBatches(tables, o.alpha, max_k)
+    for hold, pivots in leaves:
+        batches(hold, pivots)
+    batches.flush()
+    tables._trim(max_k)
+    return tables
+
+
 def test_accumulate_leaf_single_vertex():
-    g = empty_graph(1)
-    tables = CountTables(g)
-    accumulate_leaf(tables, [0], [], pascal_rows(2))
+    tables = _accumulate(empty_graph(1), [([0], [])])
     assert tables.global_counts == [0, 1]
 
 
 def test_accumulate_leaf_hand_derived_triangle():
     g = complete_graph(3)  # vertices a=0, b=1, c=2
-    tables = CountTables(g, per_vertex=True, per_edge=True)
-    accumulate_leaf(tables, [0], [1, 2], pascal_rows(3))
+    tables = _accumulate(g, [([0], [1, 2])], per_vertex=True, per_edge=True)
     assert tables.global_counts == [0, 1, 2, 1]
     assert tables.vertex_count(0, 3) == 1   # hold rule
     assert tables.vertex_count(1, 3) == 1   # pivot rule, i = 1
@@ -52,77 +63,91 @@ def test_accumulate_leaf_hand_derived_triangle():
 
 def test_accumulate_leaf_respects_max_k():
     g = complete_graph(3)
-    tables = CountTables(g, per_vertex=True, per_edge=True)
-    applied = accumulate_leaf(tables, [0], [1, 2], pascal_rows(3), max_k=2)
+    tables = _accumulate(g, [([0], [1, 2])], per_vertex=True, per_edge=True,
+                         max_k=2)
     assert tables.global_counts == [0, 1, 2]
     assert tables.vertex_count(1, 2) == 1
     assert tables.edge_count(1, 2, 3) == 0
-    assert applied > 0
 
 
-def _reference_accumulate(tables, hold, pivots, max_k):
-    """The six increment rules of accumulate_leaf, one increment at a time."""
+def _reference_accumulate(ref, hold, pivots, max_k):
+    """The six increment rules, one increment at a time.
+
+    ``ref`` maps "global", each vertex v and each edge (u, v), u < v, to a
+    growable row; vertex and global rows start at k = 0, edge rows at 2.
+    """
     h, p = len(hold), len(pivots)
     comb = math.comb
 
     def edge(u, v):
-        return tables.per_edge[tables.edge_index[min(u, v), max(u, v)]]
+        return ref.setdefault((min(u, v), max(u, v)), [])
 
     # (row, k stored at row[0], k, amount)
-    increments = [(tables.global_counts, 0, h + i, comb(p, i))
-                  for i in range(p + 1)]
-    if tables.per_vertex is not None:
-        for v in hold:
-            increments += [(tables.per_vertex[v], 0, h + i, comb(p, i))
-                           for i in range(p + 1)]
+    increments = [(ref["global"], 0, h + i, comb(p, i)) for i in range(p + 1)]
+    for v in hold:
+        increments += [(ref.setdefault(v, []), 0, h + i, comb(p, i))
+                       for i in range(p + 1)]
+    for v in pivots:
+        increments += [(ref.setdefault(v, []), 0, h + i + 1, comb(p - 1, i))
+                       for i in range(p)]
+    for u, v in itertools.combinations(hold, 2):
+        increments += [(edge(u, v), 2, h + i, comb(p, i))
+                       for i in range(p + 1)]
+    for u in hold:
         for v in pivots:
-            increments += [(tables.per_vertex[v], 0, h + i + 1, comb(p - 1, i))
+            increments += [(edge(u, v), 2, h + i + 1, comb(p - 1, i))
                            for i in range(p)]
-    if tables.per_edge is not None:
-        for u, v in itertools.combinations(hold, 2):
-            increments += [(edge(u, v), 2, h + i, comb(p, i))
-                           for i in range(p + 1)]
-        for u in hold:
-            for v in pivots:
-                increments += [(edge(u, v), 2, h + i + 1, comb(p - 1, i))
-                               for i in range(p)]
-        for u, v in itertools.combinations(pivots, 2):
-            increments += [(edge(u, v), 2, h + i + 2, comb(p - 2, i))
-                           for i in range(p - 1)]
-    made = 0
+    for u, v in itertools.combinations(pivots, 2):
+        increments += [(edge(u, v), 2, h + i + 2, comb(p - 2, i))
+                       for i in range(p - 1)]
     for row, first_k, k, amount in increments:
         if max_k is not None and k > max_k:
             continue
         while len(row) <= k - first_k:
             row.append(0)
         row[k - first_k] += amount
-        made += 1
-    return made
 
 
 @pytest.mark.parametrize("per_vertex,per_edge",
                          [(False, False), (True, False), (False, True),
                           (True, True)])
-def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge):
+def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge,
+                                                 monkeypatch):
     # Random leaves on K17 (h in 1..5, p in 0..12), several per table, so
-    # later leaves add into rows that earlier ones already grew.
+    # later leaves add into rows that earlier ones already filled. The
+    # batch size is forced to 1 (one leaf per batch), 7 (leaves split
+    # across batches) and left at its default (one batch).
     g = complete_graph(17)
-    binomial = pascal_rows(17)
-    rng = random.Random(1400 + 2 * per_vertex + per_edge)
-    for _ in range(40):
-        fast = CountTables(g, per_vertex=per_vertex, per_edge=per_edge)
-        slow = CountTables(g, per_vertex=per_vertex, per_edge=per_edge)
-        for _ in range(6):
-            h, p = rng.randint(1, 5), rng.randint(0, 12)
-            members = rng.sample(range(g.n), h + p)
-            hold, pivots = members[:h], members[h:]
-            max_k = rng.choice([None, h - 1, h, rng.randint(h, h + p)])
-            expected = _reference_accumulate(slow, hold, pivots, max_k)
-            assert accumulate_leaf(fast, hold, pivots, binomial,
-                                   max_k) == expected
-            assert fast.global_counts == slow.global_counts
-            assert fast.per_vertex == slow.per_vertex
-            assert fast.per_edge == slow.per_edge
+    edges = list(g.edges())
+    for batch in (1, 7, counting.LEAF_BATCH):
+        monkeypatch.setattr(counting, "LEAF_BATCH", batch)
+        rng = random.Random(1400 + 2 * per_vertex + per_edge)
+        for _ in range(40):
+            leaves = []
+            for _ in range(6):
+                h, p = rng.randint(1, 5), rng.randint(0, 12)
+                members = rng.sample(range(g.n), h + p)
+                leaves.append((members[:h], members[h:]))
+            h, p = map(len, leaves[0])
+            max_k = rng.choice([None, max(h - 1, 1), h, rng.randint(h, h + p)])
+            ref = {"global": []}
+            for hold, pivots in leaves:
+                _reference_accumulate(ref, hold, pivots, max_k)
+            got = _accumulate(g, leaves, per_vertex, per_edge, max_k)
+            assert got.global_counts == (_strip(ref["global"]) or [0])
+            if per_vertex:
+                for v in range(g.n):
+                    assert got.vertex_row(v) == _strip(ref.get(v, [])), v
+            if per_edge:
+                for u, v in edges:
+                    assert got.edge_row(u, v) == _strip(ref.get((u, v), []))
+
+
+def _strip(row):
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
 def test_local_counts_beyond_64_bits():
@@ -135,17 +160,110 @@ def test_local_counts_beyond_64_bits():
     edge_row = [math.comb(68, k - 2) for k in range(2, 71)]
     full = count(g, per_vertex=True, per_edge=True)
     for v in range(70):
-        assert full.per_vertex[v] == vertex_row
+        assert full.vertex_row(v) == vertex_row
     for v in range(70, 73):
-        assert full.per_vertex[v] == [0, 1, 2, 1]
-    for eid, (u, v) in enumerate(full.edge_keys):
-        assert full.per_edge[eid] == (edge_row if v < 70 else [1, 1])
+        assert full.vertex_row(v) == [0, 1, 2, 1]
+    for u, v in g.edges():
+        assert full.edge_row(u, v) == (edge_row if v < 70 else [1, 1])
 
     part = count(g, per_vertex=True, per_edge=True, max_k=40)
     for v in range(g.n):
-        assert part.per_vertex[v] == full.per_vertex[v][:41]
-    for eid in range(len(full.edge_keys)):
-        assert part.per_edge[eid] == full.per_edge[eid][:39]
+        assert part.vertex_row(v) == full.vertex_row(v)[:41]
+    for u, v in g.edges():
+        assert part.edge_row(u, v) == full.edge_row(u, v)[:39]
+
+
+@pytest.mark.parametrize("batch", [7, counting.LEAF_BATCH])
+def test_local_rows_across_the_int64_limb_boundary(batch, monkeypatch):
+    # Disjoint K66, K67 and K68, a triangle and a 5-leaf star: the cliques'
+    # count bounds straddle 2^62, so some of their rows are int64 and some
+    # limb planes; C(65, 32) < 2^62 < C(66, 33) and C(67, 33) > 2^63.
+    # A batch size of 7 puts nearly every leaf in a batch of its own, and
+    # is run with the planes carried after every batch; the default batch
+    # size runs without any carry.
+    monkeypatch.setattr(counting, "LEAF_BATCH", batch)
+    carried = batch == 7
+    if carried:
+        monkeypatch.setattr(counting, "CARRY_AFTER", 1)
+    sizes = (66, 67, 68, 3)
+    edges, blocks, first = [], [], 0
+    for s in sizes:
+        edges += itertools.combinations(range(first, first + s), 2)
+        blocks.append(range(first, first + s))
+        first += s
+    edges += [(first, first + i) for i in range(1, 6)]
+    g = Graph.from_edges(edges)
+    size_of = {v: s for s, block in zip(sizes, blocks) for v in block}
+    comb = math.comb
+    for max_k in (None, 40):
+        t = count(g, per_vertex=True, per_edge=True, max_k=max_k)
+        for table in (t.per_vertex, t.per_edge):
+            rows = len(table.offsets) - 1
+            assert 0 < len(table.wide) < rows
+            assert table.planes.shape[0] >= 3
+            assert (table.planes >= 0).all()
+            # carried: every plane but the top one holds one limb
+            assert carried == (table.planes[:-1] < 1 << counting.LIMB_BITS
+                               ).all()
+        top = max(sizes) if max_k is None else max_k
+        for v in range(g.n):
+            s = size_of.get(v)
+            if s is None:  # star: the hub has 5 edges, each leaf 1
+                row = [0, 1, 5 if v == first else 1]
+            else:
+                row = [0] + [comb(s - 1, k - 1) for k in range(1, s + 1)]
+            assert t.vertex_row(v) == row[:top + 1], v
+        for u, v in g.edges():
+            s = size_of.get(u)
+            row = [1] if s is None else [comb(s - 2, k - 2)
+                                         for k in range(2, s + 1)]
+            assert t.edge_row(u, v) == row[:top - 1], (u, v)
+
+
+def test_vertex_count_out_of_range_k_is_zero():
+    t = count(complete_graph(4), per_vertex=True)
+    assert t.vertex_row(0) == [0, 1, 3, 3, 1]
+    for k in (-1, -5, 0, 5, 99):
+        assert t.vertex_count(0, k) == 0
+    assert t.vertex_count(0, 4) == 1
+    t = count(complete_graph(4), per_vertex=True, per_edge=True, max_k=2)
+    assert t.vertex_count(0, 3) == 0 and t.edge_count(0, 1, 3) == 0
+    assert t.edge_count(0, 1, 1) == 0 and t.edge_count(0, 1, -1) == 0
+
+
+def test_edge_count_of_non_edge_is_zero():
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], n=5)
+    t = count(g, per_edge=True)
+    census = enumerate_all_cliques(g)
+    for u, v in ((0, 3), (3, 0), (1, 4), (2, 2)):
+        for k in (2, 3):
+            assert t.edge_count(u, v, k) == census.edge_count(u, v, k) == 0
+        assert t.edge_row(u, v) == []
+    assert t.edge_count(3, 2, 2) == 1 and t.edge_count(1, 0, 3) == 1
+
+
+def test_local_query_on_global_only_tables_raises():
+    g = complete_graph(3)
+    t = count(g)
+    with pytest.raises(ValueError, match="per-vertex counts were not"):
+        t.vertex_count(0, 2)
+    with pytest.raises(ValueError, match="per-edge counts were not"):
+        t.edge_count(0, 1, 2)
+    with pytest.raises(ValueError, match="per-edge counts were not"):
+        count(g, per_vertex=True).edge_row(0, 1)
+    with pytest.raises(ValueError, match="per-vertex counts were not"):
+        count(g, per_edge=True).vertex_row(0)
+
+
+def test_local_query_bad_vertex_raises():
+    t = count(complete_graph(3), per_vertex=True, per_edge=True)
+    for v in (3, -1, 10):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            t.vertex_count(v, 2)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            t.edge_count(0, v, 2)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            t.edge_count(v, 0, 2)
 
 
 def test_k4_end_to_end():
@@ -194,7 +312,7 @@ def test_sum_identities(seed):
         ck = t.global_count(k)
         assert sum(t.vertex_count(v, k) for v in range(g.n)) == k * ck
         if k >= 2:
-            total = sum(t.edge_count(u, v, k) for u, v in t.edge_keys)
+            total = sum(t.edge_count(u, v, k) for u, v in t.edges())
             assert total == math.comb(k, 2) * ck
 
 
@@ -206,9 +324,9 @@ def test_truncation_equals_prefix(seed):
         part = count(g, per_vertex=True, per_edge=True, max_k=cap)
         assert part.global_counts == full.global_counts[:cap + 1]
         for v in range(g.n):
-            assert part.per_vertex[v] == full.per_vertex[v][:cap + 1]
-        for eid in range(len(full.edge_keys)):
-            assert part.per_edge[eid] == full.per_edge[eid][:max(cap - 1, 0)]
+            assert part.vertex_row(v) == full.vertex_row(v)[:cap + 1]
+        for u, v in g.edges():
+            assert part.edge_row(u, v) == full.edge_row(u, v)[:max(cap - 1, 0)]
         fast = count(g, max_k=cap, counters="fast")
         assert fast.global_counts == full.global_counts[:cap + 1]
 
@@ -219,8 +337,8 @@ def test_basic_count_identities():
         t = count(g, per_edge=True)
         assert t.global_count(1) == g.n
         assert t.global_count(2) == g.m
-        assert set(t.edge_keys) == set(g.edges())
-        for u, v in t.edge_keys:
+        assert t.edges() == list(g.edges())
+        for u, v in t.edges():
             assert t.edge_count(u, v, 2) == 1
 
 
@@ -262,10 +380,19 @@ def test_fast_counters_fall_back_when_alpha_large():
 
 
 def test_checked_bound_enforced_on_local_tables():
-    g = complete_graph(3)
-    tables = CountTables(g, per_vertex=True, counter_bound=10)
-    accumulate_leaf(tables, [0], [1, 2], pascal_rows(3))
-    tables.per_vertex[0][1] += 100
+    tables = count(complete_graph(3), per_vertex=True)
+    tables.counter_bound = 10
+    tables._enforce_bound()
+    tables.per_vertex.flat[tables.per_vertex.offsets[0] + 1] += 100
+    with pytest.raises(CounterOverflowError):
+        tables._enforce_bound()
+    # a wide row (held in limb planes) over the bound: c_3(e) = 68 on K70
+    tables = count(complete_graph(70), per_edge=True, max_k=3)
+    assert len(tables.per_edge.wide) == tables.per_edge.offsets.size - 1
+    tables.global_counts = [0]
+    tables.counter_bound = 68
+    tables._enforce_bound()
+    tables.counter_bound = 67
     with pytest.raises(CounterOverflowError):
         tables._enforce_bound()
     assert FAST_COUNTER_MAX == 2 ** 63 - 1
@@ -273,22 +400,18 @@ def test_checked_bound_enforced_on_local_tables():
 
 def test_per_leaf_update_bounds():
     # per leaf: global <= p+1, vertex <= (h+p)(p+1), edge <= (h+p)^2 (p+1)
+    # nonzero entries, each leaf added to fresh tables on its own
     g = random_gnp(14, 0.6, 1200)
-    o = degeneracy_orient(g)
-    binom = pascal_rows(o.alpha + 1)
-    g_tbl = CountTables(g)
-    v_tbl = CountTables(g, per_vertex=True)
-    e_tbl = CountTables(g, per_vertex=True, per_edge=True)
-
-    def check(hold, pivots):
+    leaves = []
+    traverse(g, None, lambda hold, pivots: leaves.append(
+        (list(hold), list(pivots))))
+    assert leaves
+    for hold, pivots in leaves:
         h, p = len(hold), len(pivots)
-        assert accumulate_leaf(g_tbl, hold, pivots, binom) <= p + 1
-        assert accumulate_leaf(v_tbl, hold, pivots, binom) <= \
-            (p + 1) + (h + p) * (p + 1)
-        assert accumulate_leaf(e_tbl, hold, pivots, binom) <= \
-            (p + 1) + (h + p) * (p + 1) + (h + p) ** 2 * (p + 1)
-
-    traverse(g, o, check)
+        t = _accumulate(g, [(hold, pivots)], per_vertex=True, per_edge=True)
+        assert sum(map(bool, t.global_counts)) <= p + 1
+        assert sum(map(bool, t.per_vertex.flat)) <= (h + p) * (p + 1)
+        assert sum(map(bool, t.per_edge.flat)) <= (h + p) ** 2 * (p + 1)
 
 
 def test_threads_with_local_mode_warns_and_runs_sequential(caplog):
@@ -298,7 +421,8 @@ def test_threads_with_local_mode_warns_and_runs_sequential(caplog):
     assert "single-threaded" in caplog.text
     ref = count(g, per_vertex=True)
     assert t.global_counts == ref.global_counts
-    assert t.per_vertex == ref.per_vertex
+    assert [t.vertex_row(v) for v in range(g.n)] == \
+        [ref.vertex_row(v) for v in range(g.n)]
 
 
 def test_count_rejects_bad_arguments():

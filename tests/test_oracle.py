@@ -66,13 +66,14 @@ def test_compare_pass_and_first_mismatch():
     assert not verdict and "global C_2" in verdict.detail
     tables.global_counts[2] -= 1
 
-    tables.per_vertex[1][3] += 1
+    vertex = tables.per_vertex
+    vertex.flat[vertex.offsets[1] + 3] += 1
     verdict = compare(census, tables)
     assert not verdict and "vertex 1, c_3" in verdict.detail
-    tables.per_vertex[1][3] -= 1
+    vertex.flat[vertex.offsets[1] + 3] -= 1
 
-    eid = tables.edge_index[(0, 2)]
-    tables.per_edge[eid][4 - 2] -= 1
+    edge = tables.per_edge
+    edge.flat[edge.offsets[tables.edges().index((0, 2))] + 4 - 2] -= 1
     verdict = compare(census, tables)
     assert not verdict and "edge (0,2), c_4" in verdict.detail
 

@@ -117,8 +117,10 @@ def test_truncated_run_is_a_prefix_of_the_full_run(g):
             full.global_counts[:max_k + 1]
         part = count(g, per_vertex=True, per_edge=True, max_k=max_k)
         assert part.global_counts == full.global_counts[:max_k + 1]
-        assert part.per_vertex == [row[:max_k + 1] for row in full.per_vertex]
-        assert part.per_edge == [row[:max_k - 1] for row in full.per_edge]
+        for v in range(g.n):
+            assert part.vertex_row(v) == full.vertex_row(v)[:max_k + 1]
+        for u, v in g.edges():
+            assert part.edge_row(u, v) == full.edge_row(u, v)[:max_k - 1]
 
 
 @settings(max_examples=120, deadline=None)
