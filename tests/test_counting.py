@@ -32,8 +32,8 @@ def test_pascal_rows_exceed_64_bits_exactly():
 def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None):
     """Tables of the given (hold, pivots) leaves, added by LeafBatches."""
     o = degeneracy_orient(g)
-    tables = CountTables(g, per_vertex=per_vertex, per_edge=per_edge,
-                         orientation=o, max_k=max_k)
+    tables = CountTables(g, *counting.local_tables(o, max_k, per_vertex,
+                                                   per_edge))
     batches = LeafBatches(tables, o.alpha, max_k)
     for hold, pivots in leaves:
         batches(hold, pivots)
@@ -75,6 +75,8 @@ def _reference_accumulate(ref, hold, pivots, max_k):
 
     ``ref`` maps "global", each vertex v and each edge (u, v), u < v, to a
     growable row; vertex and global rows start at k = 0, edge rows at 2.
+    Returns the number of increments made to "global", vertex and edge
+    rows, by those names.
     """
     h, p = len(hold), len(pivots)
     comb = math.comb
@@ -100,12 +102,16 @@ def _reference_accumulate(ref, hold, pivots, max_k):
     for u, v in itertools.combinations(pivots, 2):
         increments += [(edge(u, v), 2, h + i + 2, comb(p - 2, i))
                        for i in range(p - 1)]
+    made = dict.fromkeys(("global", "vertex", "edge"), 0)
     for row, first_k, k, amount in increments:
         if max_k is not None and k > max_k:
             continue
         while len(row) <= k - first_k:
             row.append(0)
         row[k - first_k] += amount
+        made["global" if row is ref["global"] else
+             "edge" if first_k == 2 else "vertex"] += 1
+    return made
 
 
 @pytest.mark.parametrize("per_vertex,per_edge",
@@ -116,11 +122,21 @@ def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge,
     # Random leaves on K17 (h in 1..5, p in 0..12), several per table, so
     # later leaves add into rows that earlier ones already filled. The
     # batch size is forced to 1 (one leaf per batch), 7 (leaves split
-    # across batches) and left at its default (one batch).
+    # across batches) and left at its default (one batch). Rows are added
+    # in blocks of one entity, of a few entities and at the default block
+    # size. The batches' increment counts must add up to the
+    # transcription's.
     g = complete_graph(17)
     edges = list(g.edges())
-    for batch in (1, 7, counting.LEAF_BATCH):
+    made = []
+    batch_add = counting.accumulate_leaf
+    monkeypatch.setattr(counting, "accumulate_leaf",
+                        lambda *args: made.append(batch_add(*args)))
+    for batch, block in ((1, counting.ADD_BLOCK), (7, 1),
+                         (counting.LEAF_BATCH, 40),
+                         (counting.LEAF_BATCH, counting.ADD_BLOCK)):
         monkeypatch.setattr(counting, "LEAF_BATCH", batch)
+        monkeypatch.setattr(counting, "ADD_BLOCK", block)
         rng = random.Random(1400 + 2 * per_vertex + per_edge)
         for _ in range(40):
             leaves = []
@@ -131,9 +147,14 @@ def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge,
             h, p = map(len, leaves[0])
             max_k = rng.choice([None, max(h - 1, 1), h, rng.randint(h, h + p)])
             ref = {"global": []}
+            want = 0
             for hold, pivots in leaves:
-                _reference_accumulate(ref, hold, pivots, max_k)
+                made_by = _reference_accumulate(ref, hold, pivots, max_k)
+                want += (made_by["global"] + per_vertex * made_by["vertex"]
+                         + per_edge * made_by["edge"])
+            made.clear()
             got = _accumulate(g, leaves, per_vertex, per_edge, max_k)
+            assert sum(made) == want
             assert got.global_counts == (_strip(ref["global"]) or [0])
             if per_vertex:
                 for v in range(g.n):
@@ -179,12 +200,14 @@ def test_local_rows_across_the_int64_limb_boundary(batch, monkeypatch):
     # count bounds straddle 2^62, so some of their rows are int64 and some
     # limb planes; C(65, 32) < 2^62 < C(66, 33) and C(67, 33) > 2^63.
     # A batch size of 7 puts nearly every leaf in a batch of its own, and
-    # is run with the planes carried after every batch; the default batch
-    # size runs without any carry.
+    # is run with the planes carried after every batch and with rows
+    # added in blocks of a few entities; the default batch size runs
+    # without any carry.
     monkeypatch.setattr(counting, "LEAF_BATCH", batch)
     carried = batch == 7
     if carried:
         monkeypatch.setattr(counting, "CARRY_AFTER", 1)
+        monkeypatch.setattr(counting, "ADD_BLOCK", 200)
     sizes = (66, 67, 68, 3)
     edges, blocks, first = [], [], 0
     for s in sizes:
@@ -249,6 +272,8 @@ def test_local_query_on_global_only_tables_raises():
         t.vertex_count(0, 2)
     with pytest.raises(ValueError, match="per-edge counts were not"):
         t.edge_count(0, 1, 2)
+    with pytest.raises(ValueError, match="per-edge counts were not"):
+        t.edges()
     with pytest.raises(ValueError, match="per-edge counts were not"):
         count(g, per_vertex=True).edge_row(0, 1)
     with pytest.raises(ValueError, match="per-vertex counts were not"):
