@@ -6,7 +6,9 @@ size |H| + i for each i, and membership of a vertex or edge in H versus P
 decides which binomial row applies. Global counters are exact Python
 integers. Local (per-vertex, per-edge) counts live in flat fixed-width
 tables (``LocalTable``) that are exact by construction; ``LeafBatches``
-fills them from ``traverse``'s leaves in numpy batches. The "fast"
+fills them from ``traverse``'s leaves in numpy batches. Global-only
+counts go through ``count_roots_global``, which runs the same walker
+(``sct.walk_root``) and tallies leaves by (|H|, |P|). The "fast"
 counter mode adds a check that every count fits the signed 64-bit range,
 and aborts otherwise.
 """
@@ -19,6 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from . import sct
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import CounterOverflowError
 from .graph import Graph
@@ -28,17 +31,6 @@ log = logging.getLogger(__name__)
 
 # Envelope of the fixed-width counter mode (signed 64-bit range).
 FAST_COUNTER_MAX = 2 ** 63 - 1
-
-# Roots are set up in chunks of about max(ROOT_CHUNK_WORK, m //
-# ROOT_CHUNK_SHARE) oriented edges plus wedges, m the number of oriented
-# edges. A chunk's scratch arrays (about 70 bytes per unit) thus stay a
-# fixed share of the out-CSR on large graphs and well below the graph's
-# own storage on small ones, while large graphs need few numpy calls.
-ROOT_CHUNK_WORK = 1 << 11
-ROOT_CHUNK_SHARE = 16
-# Roots with at most this many out-neighbors get one-word bitmask rows
-# built in bulk; wider roots are set up one at a time.
-WORD_BITS = 64
 
 # Buffered leaves are added to the local tables once they hold this many
 # incidences (vertices plus vertex pairs). A batch's scratch arrays take
@@ -527,17 +519,12 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     sink, restricted to ``roots``. Adds into ``counts`` (length alpha + 2)
     and returns (nodes, leaves, max depth).
 
-    A root v's subproblem is N+(v) with one bitmask row per out-neighbor.
-    Roots whose rows fit one 64-bit word are set up in chunks of about
-    max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) oriented edges
-    plus wedges, all in numpy: every wedge v->u->w of the out-CSR is
-    closed by a binary search for the edge v->w, and each closed wedge
-    sets one bit in the rows of u and w. A root whose rows are all zero
-    has the fixed two-level tree of an edge-free subproblem and is
-    settled in closed form; only the others are walked (``_walk_root``,
-    which settles edge-free nodes at any depth the same way and stops its
-    pivot scan at a vertex adjacent to all others). Wider roots build
-    Python-integer rows one at a time.
+    Roots whose rows fit one 64-bit word are set up in numpy chunks
+    (``sct.root_chunks`` and ``sct._chunk_rows``). A root whose rows are
+    all zero has the fixed two-level tree of an edge-free subproblem and
+    is settled in closed form, all such roots at once; only the others
+    are walked, by ``sct.walk_root``. Wider roots build Python-integer
+    rows one at a time.
 
     Leaves are tallied by (|H|, |P|); a leaf adds the binomial row
     C(|P|, i) to C_{|H|+i}, so each distinct pair's row is added to
@@ -553,34 +540,29 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     sizes = out_deg[roots]
     # Leaves per (|H|, |P|); at most (alpha + 1)^2 entries.
     tally: defaultdict[tuple[int, int], int] = defaultdict(int)
-    nodes = 0
 
-    for v in roots[sizes > WORD_BITS].tolist():
-        nodes += _walk_root(_python_rows(offsets, targets, v), tally, max_hold)
+    def leaf(hold, pivots):
+        tally[len(hold), len(pivots)] += 1
 
-    narrow = sizes <= WORD_BITS
+    walked = TraversalStats()
+    for v in roots[sizes > sct.WORD_BITS].tolist():
+        sct.walk_root(walked, v, targets[offsets[v]:offsets[v + 1]].tolist(),
+                      sct._python_rows(offsets, targets, v), leaf, max_hold)
+
+    narrow = sizes <= sct.WORD_BITS
     roots, sizes = roots[narrow], sizes[narrow]
-    # Cut the roots into chunks of about `step` oriented edges plus
-    # wedges; a root's wedges come from a running sum over its edges.
-    through = np.zeros(len(targets) + 1, dtype=np.int64)
-    np.cumsum(out_deg[targets], out=through[1:])
-    work = np.cumsum(sizes + through[offsets[roots + 1]]
-                     - through[offsets[roots]])
-    del through
-    total = int(work[-1]) if len(work) else 0
-    step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
-    cuts = np.searchsorted(work, np.arange(step, total, step), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(roots)]))).tolist()
     # Out-degrees of the roots whose subproblem has no edge.
     settled = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in sct.root_chunks(offsets, targets, out_deg, roots):
         chunk, chunk_sizes = roots[lo:hi], sizes[lo:hi]
-        rows, first, busy = _chunk_rows(offsets, targets, out_deg,
-                                        chunk, chunk_sizes)
+        rows, first, busy = sct._chunk_rows(offsets, targets, out_deg,
+                                            chunk, chunk_sizes)
         settled.append(chunk_sizes[~busy])
         for i in np.flatnonzero(busy).tolist():
-            nodes += _walk_root(rows[first[i]:first[i + 1]].tolist(), tally,
-                                max_hold)
+            v = int(chunk[i])
+            sct.walk_root(walked, v,
+                          targets[offsets[v]:offsets[v + 1]].tolist(),
+                          rows[first[i]:first[i + 1]].tolist(), leaf, max_hold)
     settled = np.concatenate(settled) if settled else sizes[:0]
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
@@ -594,125 +576,12 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
                             ((2, 0), holds)):
         if leaf_count:
             tally[key] += leaf_count
-    nodes += bare + 2 * edge_free + holds
+    nodes = walked.node_count + bare + 2 * edge_free + holds
 
     _add_leaf_rows(counts, binomial, tally.items())
     leaves = sum(tally.values())
     max_depth = max((h + p for h, p in tally), default=0)
     return nodes, leaves, max_depth
-
-
-def _chunk_rows(offsets, targets, out_deg, roots, sizes):
-    """Bitmask rows of a chunk of roots with at most ``WORD_BITS`` out-neighbors.
-
-    Returns (rows, first, busy): ``rows`` holds one uint64 word per
-    oriented edge of the chunk, root by root, the row of root i's j-th
-    out-neighbor at ``first[i] + j`` (``first`` has one more entry, the
-    end); ``busy[i]`` tells whether root i's subproblem has an edge.
-    """
-    ends = np.cumsum(sizes)
-    first = ends - sizes
-    root_of = np.repeat(np.arange(len(roots), dtype=np.int64), sizes)
-    local = np.arange(len(root_of), dtype=np.int64) - first[root_of]
-    u = targets[offsets[roots][root_of] + local]
-    # Every wedge root -> u -> w, tagged with the edge root -> u.
-    du = out_deg[u]
-    via = np.repeat(np.arange(len(u), dtype=np.int64), du)
-    step = np.arange(len(via), dtype=np.int64) - (np.cumsum(du) - du)[via]
-    w = targets[offsets[u][via] + step]
-    # It closes where root -> w is an edge; (root, u) keys are sorted.
-    n = len(out_deg)
-    keys = root_of * n + u
-    probe = root_of[via] * n + w
-    at = np.searchsorted(keys, probe)
-    np.minimum(at, len(keys) - 1, out=at)
-    hit = keys[at] == probe
-    a, b = via[hit], at[hit]
-    rows = np.zeros(len(u), dtype=np.uint64)
-    one = np.uint64(1)
-    np.bitwise_or.at(rows, a, one << local[b].astype(np.uint64))
-    np.bitwise_or.at(rows, b, one << local[a].astype(np.uint64))
-    busy = np.zeros(len(roots), dtype=bool)
-    busy[root_of[a]] = True
-    return rows, [0] + ends.tolist(), busy
-
-
-def _python_rows(offsets, targets, v) -> list[int]:
-    """Bitmask rows of root v's subproblem, as Python integers of any width."""
-    members = targets[offsets[v]:offsets[v + 1]].tolist()
-    index = {u: j for j, u in enumerate(members)}
-    rows = [0] * len(members)
-    for j, u in enumerate(members):
-        for w in targets[offsets[u]:offsets[u + 1]].tolist():
-            jj = index.get(w)
-            if jj is not None:
-                rows[j] |= 1 << jj
-                rows[jj] |= 1 << j
-    return rows
-
-
-def _walk_root(rows: list[int], tally: defaultdict,
-               max_hold: int | None) -> int:
-    """Walk one root's clique tree, tracking only (|H|, |P|) per node.
-
-    ``rows`` are the bitmask rows of the root's subproblem. Adds one to
-    ``tally[h, p]`` per leaf with h hold and p pivot vertices and returns
-    the number of nodes.
-
-    The pivot scan stops at the first vertex adjacent to every other one:
-    no later vertex can have a higher degree, and ties keep the earlier
-    vertex, so the pivot is the one a full scan would pick. A node whose
-    subproblem has no edge is settled in closed form: its lowest vertex is
-    the pivot leaf (h, p + 1) and each other vertex a hold leaf (h + 1, p).
-    The pivot child is walked in place rather than pushed, since it would
-    be popped next.
-    """
-    nodes = 0
-    # Each stack entry is one tree node: (subproblem mask, |H|, |P|).
-    stack = [((1 << len(rows)) - 1, 1, 0)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        mask, h, p = pop()
-        may_hold = max_hold is None or h < max_hold
-        while mask:
-            nodes += 1
-            full = mask.bit_count() - 1
-            m = mask
-            best_deg = -1
-            while m:
-                low = m & -m
-                row = rows[low.bit_length() - 1] & mask
-                d = row.bit_count()
-                if d > best_deg:
-                    best, best_deg, best_row = low, d, row
-                    if d == full:
-                        break
-                m ^= low
-            if not best_deg:
-                # No edge: a pivot leaf and `full` hold leaves.
-                tally[h, p + 1] += 1
-                nodes += 1
-                if may_hold and full:
-                    tally[h + 1, p] += full
-                    nodes += full
-                break
-            if may_hold and best_deg < full:
-                m = mask & ~(best_row | best)
-                dropped = 0
-                while m:
-                    low = m & -m
-                    push((rows[low.bit_length() - 1] & mask & ~dropped,
-                          h + 1, p))
-                    dropped |= low
-                    m ^= low
-            mask = best_row
-            p += 1
-        else:
-            # The subproblem is empty: a leaf.
-            nodes += 1
-            tally[h, p] += 1
-    return nodes
 
 
 def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,

@@ -6,10 +6,15 @@ of its hold-labeled links H(T) and pivot-labeled links P(T), and the
 cliques represented by T are exactly H(T) union Q over all subsets Q of
 P(T), each produced by exactly one (path, subset) pair.
 
-``traverse`` walks the tree depth-first while storing only the current
-path; local counting hooks in at the leaves. ``materialize_sct`` records
-the same walk into explicit nodes, for inspection and cross-checking on
-small graphs.
+The root's children are the hold links v, one per vertex, each with the
+subproblem N+(v) given as one bitmask row per out-neighbor. ``walk_root``
+is the one pivot walker: it walks a root's subtree iteratively, storing
+only the current path and the hold children still to visit, and hands
+each leaf to a callback. Every count runs it: ``traverse`` over all roots
+in id order (local counts, ``materialize_sct`` and the tests), and
+``counting.count_roots_global`` over the roots whose subproblem has an
+edge. Rows come from ``_chunk_rows`` in numpy for chunks of roots with at
+most ``WORD_BITS`` out-neighbors, and from ``_python_rows`` for wider ones.
 """
 
 from __future__ import annotations
@@ -17,11 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
+import numpy as np
+
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import SizeLimitError
 from .graph import Graph
 
 DEFAULT_NODE_CAP = 10 ** 6
+
+# Roots are set up in chunks of about max(ROOT_CHUNK_WORK, m //
+# ROOT_CHUNK_SHARE) oriented edges plus wedges, m the number of oriented
+# edges. A chunk's scratch arrays (about 70 bytes per unit) thus stay a
+# fixed share of the out-CSR on large graphs and well below the graph's
+# own storage on small ones, while large graphs need few numpy calls.
+ROOT_CHUNK_WORK = 1 << 11
+ROOT_CHUNK_SHARE = 16
+# Roots with at most this many out-neighbors get one-word bitmask rows
+# built in bulk; wider roots are set up one at a time.
+WORD_BITS = 64
 
 
 class PathLabels(NamedTuple):
@@ -50,28 +68,26 @@ def traverse(graph: Graph,
              _on_node=None) -> TraversalStats:
     """Depth-first walk of the clique tree, storing only the current path.
 
-    For every vertex v (a hold link at the root) the walk recurses on the
-    subproblem induced on the out-neighborhood of v. At each non-empty
-    subproblem it picks the pivot p of maximum subproblem degree (lowest
-    id on ties; the scan stops at a vertex adjacent to all others), recurses
-    on p's neighborhood with p pushed as a pivot, then visits the
-    non-neighbors of p in ascending id order, recursing on each one's
-    neighborhood minus the earlier non-neighbors with the vertex pushed as
-    a hold. Children are created even when their label is empty; an empty
-    subproblem is a leaf and fires ``sink(hold, pivots)``.
+    Every vertex v is a hold link at the root, with the subproblem induced
+    on the out-neighborhood of v; ``walk_root`` walks each one's subtree,
+    roots in id order. Children are created even when their label is
+    empty; every empty subproblem is a leaf and fires ``sink(hold,
+    pivots)``, leaves in the order of a recursive pre-order walk: at each
+    node the pivot child's subtree, then the hold children's by ascending
+    id.
 
     The sink receives the live path lists; they are only valid during the
     call, so copy them if you keep them. With ``max_hold`` set, branches
-    whose hold count would exceed it are pruned before recursing, which
-    preserves all leaves with at most ``max_hold`` hold vertices.
+    whose hold count would exceed it are pruned, which preserves all
+    leaves with at most ``max_hold`` hold vertices.
 
     ``_on_node(mask, members, hold, pivots)``, if given, is called at every
     node below the root before its children: the node's label is the set
     bits of ``mask`` mapped through ``members``, and the live path lists
     end with the node's link. ``materialize_sct`` records the tree this way.
 
-    Native recursion is used deliberately: the path length is bounded by
-    alpha + 1 links, far below the interpreter limit.
+    The walk is iterative, so the depth of the tree (up to alpha + 1
+    links) is not bounded by the interpreter's recursion limit.
     """
     if orientation is None:
         orientation = degeneracy_orient(graph)
@@ -79,89 +95,199 @@ def traverse(graph: Graph,
     if graph.n == 0 or (max_hold is not None and max_hold < 1):
         return stats
     if sink is None:
-        sink = _ignore_leaf
-    out = orientation.out_neighbors
-    local_index = [-1] * graph.n
-    hold: list[int] = []
-    pivots: list[int] = []
-    members: list[int] = []
-    rows: list[int] = []
-
-    def walk(mask: int) -> None:
-        stats.node_count += 1
-        if _on_node is not None:
-            _on_node(mask, members, hold, pivots)
-        if mask == 0:
-            stats.leaf_count += 1
-            depth = len(hold) + len(pivots)
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-            sink(hold, pivots)
-            return
-        # A vertex adjacent to all others ends the scan: none can beat
-        # it, and ties keep the earlier vertex.
-        full = mask.bit_count() - 1
-        m = mask
-        best = -1
-        best_deg = -1
-        best_row = 0
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            row = rows[i] & mask
-            d = row.bit_count()
-            if d > best_deg:
-                best, best_deg, best_row = i, d, row
-                if d == full:
-                    break
-            m ^= low
-        pivots.append(members[best])
-        walk(best_row)
-        pivots.pop()
-        if max_hold is not None and len(hold) >= max_hold:
-            return
-        m = mask & ~(best_row | (1 << best))
-        dropped = 0
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            hold.append(members[i])
-            walk(rows[i] & mask & ~dropped)
-            hold.pop()
-            dropped |= low
-            m ^= low
-
-    for v in range(graph.n):
-        members = out[v]
-        s = len(members)
-        hold.append(v)
-        if s == 0:
-            if _on_node is not None:
-                _on_node(0, members, hold, pivots)
-            stats.node_count += 1
-            stats.leaf_count += 1
-            if not stats.max_depth:
-                stats.max_depth = 1
-            sink(hold, pivots)
-        else:
-            for j, u in enumerate(members):
-                local_index[u] = j
-            rows = [0] * s
-            for j, u in enumerate(members):
-                for w in out[u]:
-                    jj = local_index[w]
-                    if jj >= 0:
-                        rows[j] |= 1 << jj
-                        rows[jj] |= 1 << j
-            for u in members:
-                local_index[u] = -1
-            walk((1 << s) - 1)
-        hold.pop()
+        def sink(hold, pivots):
+            return None
+    offsets = orientation.out_offsets
+    targets = orientation.out_targets
+    out_deg = np.diff(offsets)
+    for lo, hi in root_chunks(offsets, targets, out_deg, np.arange(graph.n)):
+        sizes = out_deg[lo:hi]
+        narrow = sizes <= WORD_BITS
+        rows, first, _ = _chunk_rows(offsets, targets, out_deg,
+                                     np.arange(lo, hi)[narrow], sizes[narrow])
+        rows = rows.tolist()
+        spans = zip(first, first[1:])
+        ids = targets[offsets[lo]:offsets[hi]].tolist()
+        starts = (offsets[lo:hi + 1] - offsets[lo]).tolist()
+        for v, a, b, is_narrow in zip(range(lo, hi), starts, starts[1:],
+                                      narrow.tolist()):
+            if is_narrow:
+                c, d = next(spans)
+                root_rows = rows[c:d]
+            else:
+                root_rows = _python_rows(offsets, targets, v)
+            walk_root(stats, v, ids[a:b], root_rows, sink, max_hold, _on_node)
     return stats
 
 
-def _ignore_leaf(hold, pivots):
-    return None
+def walk_root(stats: TraversalStats, root: int, members: list[int],
+              rows: list[int], leaf: Callable[[list, list], None],
+              max_hold: int | None = None, on_node=None) -> None:
+    """Walk the subtree of root's hold link, adding its shape to ``stats``.
+
+    ``members`` are root's out-neighbors in ascending id order, and
+    ``rows[i]`` has bit j set where ``members[i]`` and ``members[j]`` are
+    adjacent. The walk is pre-order and keeps the path as two live lists of
+    vertex ids, ``hold`` (root first) and ``pivots``: ``leaf(hold,
+    pivots)`` fires at every leaf and ``on_node(mask, members, hold,
+    pivots)`` at every node, as in ``traverse``.
+
+    At a node with subproblem ``mask`` the pivot is the vertex of maximum
+    degree within it, lowest id on ties. The scan stops at the first vertex
+    adjacent to every other one: no later vertex can have a higher degree,
+    and ties keep the earlier vertex. The pivot child, the pivot's
+    neighbors within ``mask``, is walked in place, next. The hold child of
+    each non-neighbor x of the pivot, in ascending order, has the
+    subproblem N(x) & ``mask`` less the earlier non-neighbors; these wait
+    on a stack, pushed in descending order so that they pop in ascending
+    order. Hold children are not created once the path holds ``max_hold``
+    hold vertices. A node whose subproblem has no edge is settled in
+    closed form: its lowest vertex is the pivot leaf and each other vertex
+    a hold leaf, in ascending order.
+    """
+    hold: list[int] = []
+    pivots: list[int] = []
+    nodes = leaves = 0
+    depth = stats.max_depth
+    # One entry per hold child still to visit: its subproblem, the path
+    # lengths at its parent and its vertex.
+    stack = [((1 << len(rows)) - 1, 0, 0, root)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        mask, h, p, v = pop()
+        del hold[h:]
+        del pivots[p:]
+        hold.append(v)
+        may_hold = max_hold is None or h + 1 < max_hold
+        while True:
+            nodes += 1
+            if on_node is not None:
+                on_node(mask, members, hold, pivots)
+            if not mask:
+                leaves += 1
+                if len(hold) + len(pivots) > depth:
+                    depth = len(hold) + len(pivots)
+                leaf(hold, pivots)
+                break
+            full = mask.bit_count() - 1
+            m = mask
+            best_deg = -1
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                row = rows[i] & mask
+                d = row.bit_count()
+                if d > best_deg:
+                    best, best_deg, best_row = i, d, row
+                    if d == full:
+                        break
+                m ^= low
+            if not best_deg:
+                # No edge: the pivot leaf, then a hold leaf per other vertex.
+                pivots.append(members[best])
+                if len(hold) + len(pivots) > depth:
+                    depth = len(hold) + len(pivots)
+                if on_node is not None:
+                    on_node(0, members, hold, pivots)
+                leaf(hold, pivots)
+                pivots.pop()
+                m = mask ^ (1 << best) if may_hold else 0
+                nodes += 1 + m.bit_count()
+                leaves += 1 + m.bit_count()
+                while m:
+                    low = m & -m
+                    hold.append(members[low.bit_length() - 1])
+                    if on_node is not None:
+                        on_node(0, members, hold, pivots)
+                    leaf(hold, pivots)
+                    hold.pop()
+                    m ^= low
+                break
+            if may_hold and best_deg < full:
+                h = len(hold)
+                p = len(pivots)
+                m = mask & ~(best_row | 1 << best)
+                while m:
+                    i = m.bit_length() - 1
+                    m ^= 1 << i
+                    push((rows[i] & mask & ~m, h, p, members[i]))
+            pivots.append(members[best])
+            mask = best_row
+    stats.node_count += nodes
+    stats.leaf_count += leaves
+    stats.max_depth = depth
+
+
+def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
+    """Cut ``roots`` into consecutive (lo, hi) slices of similar set-up work.
+
+    A root's work is its out-degree plus its wedges v->u->w; a slice holds
+    about max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) of it, m the
+    number of oriented edges.
+    """
+    # A root's wedges come from a running sum over its edges.
+    through = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(out_deg[targets], out=through[1:])
+    work = np.cumsum(out_deg[roots] + through[offsets[roots + 1]]
+                     - through[offsets[roots]])
+    del through
+    total = int(work[-1]) if len(work) else 0
+    step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
+    cuts = np.searchsorted(work, np.arange(step, total, step), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(roots)]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _chunk_rows(offsets, targets, out_deg, roots, sizes):
+    """Bitmask rows of a chunk of roots with at most ``WORD_BITS`` out-neighbors.
+
+    Returns (rows, first, busy): ``rows`` holds one uint64 word per
+    oriented edge of the chunk, root by root, the row of root i's j-th
+    out-neighbor at ``first[i] + j`` (``first`` has one more entry, the
+    end); ``busy[i]`` tells whether root i's subproblem has an edge. Every
+    wedge root->u->w is closed by a binary search for the edge root->w,
+    and each closed wedge sets one bit in the rows of u and w.
+    """
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    root_of = np.repeat(np.arange(len(roots), dtype=np.int64), sizes)
+    local = np.arange(len(root_of), dtype=np.int64) - first[root_of]
+    u = targets[offsets[roots][root_of] + local]
+    # Every wedge root -> u -> w, tagged with the edge root -> u.
+    du = out_deg[u]
+    via = np.repeat(np.arange(len(u), dtype=np.int64), du)
+    step = np.arange(len(via), dtype=np.int64) - (np.cumsum(du) - du)[via]
+    w = targets[offsets[u][via] + step]
+    # It closes where root -> w is an edge; (root, u) keys are sorted.
+    n = len(out_deg)
+    keys = root_of * n + u
+    probe = root_of[via] * n + w
+    at = np.searchsorted(keys, probe)
+    np.minimum(at, len(keys) - 1, out=at)
+    hit = keys[at] == probe
+    a, b = via[hit], at[hit]
+    rows = np.zeros(len(u), dtype=np.uint64)
+    one = np.uint64(1)
+    np.bitwise_or.at(rows, a, one << local[b].astype(np.uint64))
+    np.bitwise_or.at(rows, b, one << local[a].astype(np.uint64))
+    busy = np.zeros(len(roots), dtype=bool)
+    busy[root_of[a]] = True
+    return rows, [0] + ends.tolist(), busy
+
+
+def _python_rows(offsets, targets, v) -> list[int]:
+    """Bitmask rows of root v's subproblem, as Python integers of any width."""
+    members = targets[offsets[v]:offsets[v + 1]].tolist()
+    index = {u: j for j, u in enumerate(members)}
+    rows = [0] * len(members)
+    for j, u in enumerate(members):
+        for w in targets[offsets[u]:offsets[u + 1]].tolist():
+            jj = index.get(w)
+            if jj is not None:
+                rows[j] |= 1 << jj
+                rows[jj] |= 1 << j
+    return rows
 
 
 class SctNode:

@@ -467,8 +467,8 @@ def test_empty_graph_counts():
 
 
 def _traverse_reference(g, o, max_k):
-    """The recursive walk with a global-only sink: every leaf's full
-    binomial row, those rows cut at ``max_k`` and trimmed, and the shape."""
+    """``traverse`` with a global-only sink: every leaf's full binomial
+    row, those rows cut at ``max_k`` and trimmed, and the shape."""
     binomial = pascal_rows(o.alpha + 1)
     raw = [0] * (o.alpha + 2)
 
@@ -514,15 +514,15 @@ def _wide_root_graph(seed):
 @pytest.mark.parametrize("chunk_work", [3, None])
 @pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph])
 def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
-    from cliquecount import count_global_parallel, counting
+    from cliquecount import count_global_parallel, counting, sct
     chunks = []
     if chunk_work is not None:
         # Small enough to split the roots across many chunks: the share
         # of the out-CSR rounds down to 0, so the minimum sets the size.
-        monkeypatch.setattr(counting, "ROOT_CHUNK_WORK", chunk_work)
-        monkeypatch.setattr(counting, "ROOT_CHUNK_SHARE", 1 << 62)
-        chunk_rows = counting._chunk_rows
-        monkeypatch.setattr(counting, "_chunk_rows", lambda *args: (
+        monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", chunk_work)
+        monkeypatch.setattr(sct, "ROOT_CHUNK_SHARE", 1 << 62)
+        chunk_rows = sct._chunk_rows
+        monkeypatch.setattr(sct, "_chunk_rows", lambda *args: (
             chunks.append(args[3]) or chunk_rows(*args)))
     for seed in (1, 2):
         g = build(seed)
@@ -536,6 +536,7 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
         random.Random(seed).shuffle(roots)
         for max_k in (None, 1, 2, 3, 5):
             raw, counts, stats = _traverse_reference(g, o, max_k)
+            chunks.clear()
             engine = [0] * (o.alpha + 2)
             shape = counting.count_roots_global(
                 o, roots, engine, pascal_rows(o.alpha + 1), max_hold=max_k)

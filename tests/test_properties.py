@@ -72,7 +72,7 @@ def clique_rich_graphs(draw):
 
 
 def _global_reference(g, o, max_hold):
-    """Raw counts and shape of the recursive walk with a global-only sink."""
+    """Raw counts and shape of ``traverse`` with a global-only sink."""
     binomial = pascal_rows(o.alpha + 1)
     raw = [0] * (o.alpha + 2)
 

@@ -1,9 +1,12 @@
+import inspect
 import itertools
+import math
 import random
+import sys
 
 import pytest
 
-from cliquecount import (Graph, SizeLimitError, degeneracy_orient,
+from cliquecount import (Graph, SizeLimitError, count, degeneracy_orient,
                          enumerate_all_cliques, materialize_sct, traverse,
                          verify_unique_representation)
 
@@ -185,6 +188,24 @@ def test_truncated_leaves_are_a_subset(seed):
 def test_truncation_to_zero_emits_nothing():
     stats = traverse(complete_graph(4), max_hold=0)
     assert stats.leaf_count == 0
+
+
+def test_deep_tree_walks_without_recursion():
+    # K120's tree is 120 links deep. With only 60 frames of headroom, a
+    # walk that recursed once per level would raise RecursionError.
+    g = complete_graph(120)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        tables = count(g, per_vertex=True, per_edge=True)
+        stats = traverse(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    for v in range(g.n):
+        row = tables.vertex_row(v)
+        assert len(row) == 121
+        assert all(row[k] == math.comb(119, k - 1) for k in range(1, 121))
+    assert stats.leaf_count == 120
 
 
 def test_materialize_node_cap():
