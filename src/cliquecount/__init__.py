@@ -13,7 +13,7 @@ from .errors import (CliqueCountError, CounterOverflowError,
                      EdgeListParseError, SizeLimitError)
 from .graph import Graph, edge_list_text, load_edge_list, write_edge_list
 from .oracle import CliqueCensus, compare, enumerate_all_cliques
-from .parallel import WorkerResult, count_global_parallel
+from .parallel import count_global_parallel
 from .sct import (PathLabels, SctNode, TraversalStats, materialize_sct,
                   traverse, verify_unique_representation)
 
@@ -32,7 +32,6 @@ __all__ = [
     "SctNode",
     "SizeLimitError",
     "TraversalStats",
-    "WorkerResult",
     "compare",
     "count",
     "count_global_parallel",

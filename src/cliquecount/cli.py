@@ -22,6 +22,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,26 +103,70 @@ def _write_per_edge_csv(tables, out) -> None:
                            zip((eids - first).tolist(), ks.tolist(), cs)]))
 
 
-def _json_document(graph, tables) -> dict:
-    doc = {
+def _json_objects(table, indent: int):
+    """The nonzero counts of ``table`` as JSON objects, chunk by chunk.
+
+    Each chunk is a list of (entity, text) for the entities with a
+    nonzero count, ascending: text is the entity's {"k": "count"} object
+    as ``json.dump(..., indent=2)`` lays it out at ``indent`` spaces.
+    """
+    pad = "\n" + " " * indent
+    for es, ks, cs in table.entries():
+        yield [(e, "{" + ",".join([f'{pad}  "{k}": "{c}"'
+                                  for _, k, c in group]) + pad + "}")
+               for e, group in groupby(zip(es.tolist(), ks.tolist(), cs),
+                                       key=itemgetter(0))]
+
+
+def _json_edge_items(tables):
+    """The per-edge list's items, every edge in order, chunk by chunk."""
+    def items(lo, hi, objects):
+        us, vs = np.divmod(tables.edge_codes[lo:hi], tables.n)
+        return [f"\n    [\n      {u},\n      {v},\n      "
+                f"{objects.get(i, '{}')}\n    ]"
+                for i, u, v in zip(range(lo, hi), us.tolist(), vs.tolist())]
+    done = 0
+    for chunk in _json_objects(tables.per_edge, 6):
+        yield items(done, chunk[-1][0] + 1, dict(chunk))
+        done = chunk[-1][0] + 1
+    for lo in range(done, len(tables.edge_codes), counting.WRITE_CHUNK):
+        yield items(lo, min(lo + counting.WRITE_CHUNK,
+                            len(tables.edge_codes)), {})
+
+
+def _write_json(graph, tables, out) -> None:
+    """The counts as one JSON document, written chunk by chunk.
+
+    The bytes are those of ``json.dump(doc, out, indent=2)`` and a
+    newline, for doc = {"n", "m", "alpha", "max_clique_size", "global":
+    {k: count}, "per_vertex": {v: {k: count}}, "per_edge": [[u, v, {k:
+    count}], ...]}, counts as strings and nonzero only; "per_vertex"
+    lists the vertices with a nonzero count, "per_edge" every edge.
+    """
+    head = json.dumps({
         "n": graph.n,
         "m": graph.m,
         "alpha": tables.alpha,
         "max_clique_size": tables.max_clique_size(),
         "global": {str(k): str(c)
                    for k, c in enumerate(tables.global_counts) if k > 0},
-    }
+    }, indent=2)
+    out.write(head[:-2])  # without the closing "\n}"
+    sections = []
     if tables.per_vertex is not None:
-        vertices = doc["per_vertex"] = {}
-        for vs, ks, cs in tables.per_vertex.entries():
-            for v, k, c in zip(vs.tolist(), ks.tolist(), cs):
-                vertices.setdefault(str(v), {})[str(k)] = str(c)
+        sections.append(("per_vertex", "{}", (
+            [f'\n    "{v}": {text}' for v, text in chunk]
+            for chunk in _json_objects(tables.per_vertex, 4))))
     if tables.per_edge is not None:
-        edges = doc["per_edge"] = [[u, v, {}] for u, v in tables.edges()]
-        for eids, ks, cs in tables.per_edge.entries():
-            for eid, k, c in zip(eids.tolist(), ks.tolist(), cs):
-                edges[eid][2][str(k)] = str(c)
-    return doc
+        sections.append(("per_edge", "[]", _json_edge_items(tables)))
+    for key, brackets, chunks in sections:
+        out.write(f',\n  "{key}": {brackets[0]}')
+        sep = ""
+        for items in chunks:
+            out.write(sep + ",".join(items))
+            sep = ","
+        out.write(f"\n  {brackets[1]}" if sep else brackets[1])
+    out.write("\n}\n")
 
 
 def _sibling_path(path: str, tag: str) -> str:
@@ -168,15 +214,10 @@ def _write_files(jobs) -> None:
 
 def _emit_tables(graph, tables, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        doc = _json_document(graph, tables)
-
-        def write_json(fh):
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
         if output:
-            _write_files([(output, write_json)])
+            _write_files([(output, lambda fh: _write_json(graph, tables, fh))])
         else:
-            write_json(sys.stdout)
+            _write_json(graph, tables, sys.stdout)
         return
     if output:
         jobs = [(output, lambda fh: _write_global_csv(tables, fh))]

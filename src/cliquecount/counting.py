@@ -8,16 +8,18 @@ integers. Local (per-vertex, per-edge) counts live in flat fixed-width
 tables (``LocalTable``) that are exact by construction; ``LeafBatches``
 fills them from ``traverse``'s leaves in numpy batches. Global-only
 counts go through ``count_roots_global``, which runs the same walker
-(``sct.walk_root``) and tallies leaves by (|H|, |P|). The "fast"
-counter mode adds a check that every count fits the signed 64-bit range,
-and aborts otherwise.
+(``sct.walk_root``) over a set of roots and returns their leaves
+tallied by (|H|, |P|); ``global_tables`` merges such tallies, from one
+batch or from many (``parallel.count_global_parallel``), into counts.
+The "fast" counter mode adds a check that every count fits the signed
+64-bit range, and aborts otherwise.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -278,7 +280,7 @@ class CountTables:
     """
 
     __slots__ = ("n", "global_counts", "per_vertex", "per_edge",
-                 "edge_codes", "counter_bound", "stats", "alpha")
+                 "edge_codes", "stats", "alpha")
 
     def __init__(self, graph: Graph, per_vertex: LocalTable | None = None,
                  per_edge: LocalTable | None = None,
@@ -288,7 +290,6 @@ class CountTables:
         self.per_vertex = per_vertex
         self.per_edge = per_edge
         self.edge_codes = edge_codes
-        self.counter_bound: int | None = None
         self.stats: TraversalStats | None = None
         self.alpha: int | None = None
 
@@ -365,10 +366,8 @@ class CountTables:
         while len(self.global_counts) > 1 and self.global_counts[-1] == 0:
             self.global_counts.pop()
 
-    def _enforce_bound(self) -> None:
-        bound = self.counter_bound
-        if bound is None:
-            return
+    def _enforce_bound(self, bound: int) -> None:
+        """Raise CounterOverflowError if any count exceeds ``bound``."""
         if any(c > bound for c in self.global_counts) or any(
                 table is not None and table.max_count() > bound
                 for table in (self.per_vertex, self.per_edge)):
@@ -511,13 +510,14 @@ def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
 
 
 def count_roots_global(orientation: DegeneracyOrientation, roots,
-                       counts: list[int], binomial: list[list[int]],
-                       max_hold: int | None = None) -> tuple[int, int, int]:
+                       max_hold: int | None = None
+                       ) -> tuple[dict[tuple[int, int], int], int]:
     """Global-count engine over the given root vertices.
 
-    Gives the counts and tree shape of ``traverse`` with a global-only
-    sink, restricted to ``roots``. Adds into ``counts`` (length alpha + 2)
-    and returns (nodes, leaves, max depth).
+    Walks the subtrees of ``traverse`` with a global-only sink, restricted
+    to ``roots``, and returns (tally, nodes): the leaves tallied by
+    (|H|, |P|) and the number of nodes. ``global_tables`` turns any
+    number of these results, for disjoint sets of roots, into counts.
 
     Roots whose rows fit one 64-bit word are set up in numpy chunks
     (``sct.root_chunks`` and ``sct._chunk_rows``). A root whose rows are
@@ -525,21 +525,16 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     is settled in closed form, all such roots at once; only the others
     are walked, by ``sct.walk_root``. Wider roots build Python-integer
     rows one at a time.
-
-    Leaves are tallied by (|H|, |P|); a leaf adds the binomial row
-    C(|P|, i) to C_{|H|+i}, so each distinct pair's row is added to
-    ``counts`` once, times its leaf count, after all roots are done. The
-    leaf count and the max depth come from the same tally.
     """
+    # Leaves per (|H|, |P|); at most (alpha + 1)^2 entries.
+    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
     if max_hold is not None and max_hold < 1:
-        return 0, 0, 0
+        return tally, 0
     offsets = orientation.out_offsets
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
     roots = np.asarray(roots, dtype=np.int64)
     sizes = out_deg[roots]
-    # Leaves per (|H|, |P|); at most (alpha + 1)^2 entries.
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
 
     def leaf(hold, pivots):
         tally[len(hold), len(pivots)] += 1
@@ -576,12 +571,33 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
                             ((2, 0), holds)):
         if leaf_count:
             tally[key] += leaf_count
-    nodes = walked.node_count + bare + 2 * edge_free + holds
+    return tally, walked.node_count + bare + 2 * edge_free + holds
 
-    _add_leaf_rows(counts, binomial, tally.items())
-    leaves = sum(tally.values())
-    max_depth = max((h + p for h, p in tally), default=0)
-    return nodes, leaves, max_depth
+
+def global_tables(graph: Graph, alpha: int, parts,
+                  max_k: int | None = None) -> CountTables:
+    """Global counts and tree shape from ``count_roots_global`` results.
+
+    ``parts`` are the (tally, nodes) results of disjoint sets of roots,
+    in any order. A leaf adds the binomial row C(|P|, i) to C_{|H|+i}, so
+    each distinct (|H|, |P|) pair's row is added once, times its leaf
+    count over all parts. The leaf count and the max depth come from the
+    same tally. Counts past ``max_k`` are dropped.
+    """
+    tally: Counter[tuple[int, int]] = Counter()
+    nodes = 0
+    for part, part_nodes in parts:
+        tally.update(part)
+        nodes += part_nodes
+    tables = CountTables(graph)
+    tables.global_counts = [0] * (alpha + 2)
+    _add_leaf_rows(tables.global_counts, pascal_rows(alpha + 1),
+                   tally.items())
+    tables.stats = TraversalStats(nodes, sum(tally.values()),
+                                  max((h + p for h, p in tally), default=0))
+    tables.alpha = alpha
+    tables._trim(max_k)
+    return tables
 
 
 def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
@@ -591,9 +607,10 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
     """Count k-cliques for all k (or up to ``max_k``).
 
     Runs the degeneracy orientation and the clique-tree walk with the
-    leaf-accumulation rules. Global-only counting uses a fused engine and
-    can fan root subproblems across ``threads`` worker processes; local
-    counting is single-threaded. ``counters`` selects "exact" (unbounded
+    leaf-accumulation rules. Global-only counting runs
+    ``parallel.count_global_parallel``: in this process for one thread,
+    else across ``threads`` worker processes. Local counting is
+    single-threaded. ``counters`` selects "exact" (unbounded
     integers, the default) or "fast" (the same counts, checked against
     the signed 64-bit range: CounterOverflowError if any count exceeds
     it, never a wrapped value).
@@ -616,26 +633,11 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
         sink = LeafBatches(tables, orientation.alpha, max_k)
         tables.stats = traverse(graph, orientation, sink, max_hold=max_k)
         sink.flush()
-    elif threads > 1:
-        from .parallel import count_global_parallel
-        tables = count_global_parallel(graph, orientation, workers=threads,
-                                       max_k=max_k)
+        tables._trim(max_k)
+        tables.alpha = orientation.alpha
     else:
-        tables = _count_global_sequential(graph, orientation, max_k)
-    tables._trim(max_k)
+        from .parallel import count_global_parallel
+        tables = count_global_parallel(graph, orientation, threads, max_k)
     if counters == FAST:
-        tables.counter_bound = FAST_COUNTER_MAX
-        tables._enforce_bound()
-    tables.alpha = orientation.alpha
-    return tables
-
-
-def _count_global_sequential(graph, orientation, max_k) -> CountTables:
-    tables = CountTables(graph)
-    counts = [0] * (orientation.alpha + 2)
-    nodes, leaves, depth = count_roots_global(
-        orientation, np.arange(graph.n), counts,
-        pascal_rows(orientation.alpha + 1), max_hold=max_k)
-    tables.global_counts = counts
-    tables.stats = TraversalStats(nodes, leaves, depth)
+        tables._enforce_bound(FAST_COUNTER_MAX)
     return tables

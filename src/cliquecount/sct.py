@@ -310,42 +310,45 @@ class SctNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def _preorder(self) -> Iterator[tuple[int, int, SctNode]]:
+        """(depth, parent, node) of every node in pre-order, this one first.
+
+        ``parent`` is the parent's position in the walk (-1 for this
+        node). The walk keeps its own stack, so a tree of any depth can
+        be walked.
+        """
+        stack = [(0, -1, self)]
+        position = 0
+        while stack:
+            depth, parent, node = stack.pop()
+            yield depth, parent, node
+            stack.extend((depth + 1, position, child)
+                         for child in reversed(node.children))
+            position += 1
+
     def node_count(self) -> int:
         """Nodes below (and excluding) this node."""
-        return sum(1 + child.node_count() for child in self.children)
+        return sum(1 for _ in self._preorder()) - 1
 
     def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        return sum(1 for _, _, node in self._preorder() if not node.children)
 
     def iter_paths(self) -> Iterator[PathLabels]:
         """Yield (hold, pivot) labels of every root-to-leaf path."""
-        hold: list[int] = []
-        pivots: list[int] = []
-
-        def rec(node: SctNode) -> Iterator[PathLabels]:
-            if node.link_kind == "hold":
-                hold.append(node.link_vertex)
-            elif node.link_kind == "pivot":
-                pivots.append(node.link_vertex)
+        path: list[SctNode] = []
+        for depth, _, node in self._preorder():
+            del path[depth:]
+            path.append(node)
             if node.is_leaf() and node.link_kind != "root":
-                yield PathLabels(tuple(hold), tuple(pivots))
-            else:
-                for child in node.children:
-                    yield from rec(child)
-            if node.link_kind == "hold":
-                hold.pop()
-            elif node.link_kind == "pivot":
-                pivots.pop()
-
-        yield from rec(self)
+                yield PathLabels(
+                    tuple(n.link_vertex for n in path if n.link_kind == "hold"),
+                    tuple(n.link_vertex for n in path
+                          if n.link_kind == "pivot"))
 
     def to_text(self, max_label: int = 16) -> str:
         """Indented dump: one node per line, "<link> {label}" under parents."""
         lines: list[str] = []
-
-        def rec(node: SctNode, depth: int) -> None:
+        for depth, _, node in self._preorder():
             if node.link_kind == "root":
                 link = "root"
             else:
@@ -355,25 +358,12 @@ class SctNode:
             if len(node.label) > max_label:
                 label += ",..."
             lines.append(f"{'  ' * depth}{link} {{{label}}}")
-            for child in node.children:
-                rec(child, depth + 1)
-
-        rec(self, 0)
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> list[tuple]:
         """Flat node list: (node id, parent id, link kind, link vertex, label)."""
-        records: list[tuple] = []
-
-        def rec(node: SctNode, parent_id: int) -> None:
-            node_id = len(records)
-            records.append((node_id, parent_id, node.link_kind,
-                            node.link_vertex, node.label))
-            for child in node.children:
-                rec(child, node_id)
-
-        rec(self, -1)
-        return records
+        return [(node_id, parent, node.link_kind, node.link_vertex, node.label)
+                for node_id, (_, parent, node) in enumerate(self._preorder())]
 
 
 def materialize_sct(graph: Graph,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cliquecount import cli
+from cliquecount import cli, count, load_edge_list
 
 from conftest import complete_graph, random_gnp
 from cliquecount import edge_list_text
@@ -321,6 +321,37 @@ def test_count_golden_local_outputs(capsys, tmp_path):
                 with open(os.path.join(DATA, f"sct_golden.{tag}.{name}"),
                           "rb") as fh:
                     assert got == fh.read(), name
+    # Under --max-k 1 every edge row is empty ({}), and the empty graph
+    # has empty sections; the streamed JSON is json.dumps of the tables.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for source in (path, str(empty)):
+        out = tmp_path / "k1.json"
+        assert run_cli(capsys, "count", source, "--per-vertex", "--per-edge",
+                       "--max-k", "1", "--format", "json", "--output",
+                       str(out), "--report", os.devnull) == (0, "", "")
+        graph = load_edge_list(source)
+        tables = count(graph, per_vertex=True, per_edge=True, max_k=1)
+        want = json.dumps(_json_reference(graph, tables), indent=2) + "\n"
+        assert out.read_text() == want, source
+
+
+def _json_reference(graph, tables):
+    """The JSON document of ``count --format json``, built in memory."""
+    doc = {"n": graph.n, "m": graph.m, "alpha": tables.alpha,
+           "max_clique_size": tables.max_clique_size(),
+           "global": {str(k): str(c)
+                      for k, c in enumerate(tables.global_counts) if k > 0},
+           "per_vertex": {}}
+    for v in range(graph.n):
+        row = {str(k): str(c) for k, c in enumerate(tables.vertex_row(v)) if c}
+        if row:
+            doc["per_vertex"][str(v)] = row
+    doc["per_edge"] = [
+        [u, v, {str(k): str(c)
+                for k, c in enumerate(tables.edge_row(u, v), start=2) if c}]
+        for u, v in tables.edges()]
+    return doc
 
 
 def test_fast_counters_local_k70_exit_code(capsys, tmp_path):

@@ -406,20 +406,17 @@ def test_fast_counters_fall_back_when_alpha_large():
 
 def test_checked_bound_enforced_on_local_tables():
     tables = count(complete_graph(3), per_vertex=True)
-    tables.counter_bound = 10
-    tables._enforce_bound()
+    tables._enforce_bound(10)
     tables.per_vertex.flat[tables.per_vertex.offsets[0] + 1] += 100
     with pytest.raises(CounterOverflowError):
-        tables._enforce_bound()
+        tables._enforce_bound(10)
     # a wide row (held in limb planes) over the bound: c_3(e) = 68 on K70
     tables = count(complete_graph(70), per_edge=True, max_k=3)
     assert len(tables.per_edge.wide) == tables.per_edge.offsets.size - 1
     tables.global_counts = [0]
-    tables.counter_bound = 68
-    tables._enforce_bound()
-    tables.counter_bound = 67
+    tables._enforce_bound(68)
     with pytest.raises(CounterOverflowError):
-        tables._enforce_bound()
+        tables._enforce_bound(67)
     assert FAST_COUNTER_MAX == 2 ** 63 - 1
 
 
@@ -478,10 +475,15 @@ def _traverse_reference(g, o, max_k):
             raw[h + i] += binomial[p][i]
 
     stats = traverse(g, o, sink, max_hold=max_k)
-    counts = raw[:None if max_k is None else max_k + 1]
+    return raw, _strip(raw[:None if max_k is None else max_k + 1]), stats
+
+
+def _strip(counts):
+    """``counts`` without trailing zeros, keeping at least one entry."""
+    counts = list(counts)
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    return raw, counts, stats
+    return counts
 
 
 def _mixed_graph(seed):
@@ -537,15 +539,24 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
         for max_k in (None, 1, 2, 3, 5):
             raw, counts, stats = _traverse_reference(g, o, max_k)
             chunks.clear()
-            engine = [0] * (o.alpha + 2)
-            shape = counting.count_roots_global(
-                o, roots, engine, pascal_rows(o.alpha + 1), max_hold=max_k)
-            assert engine == raw, (seed, max_k)
-            assert shape == (stats.node_count, stats.leaf_count,
-                             stats.max_depth), (seed, max_k)
+            whole = counting.count_roots_global(o, roots, max_hold=max_k)
             if chunk_work is not None:
                 assert len(chunks) > 20, (seed, max_k)
                 chunks.clear()
+            # Without max_k, the merge keeps the counts past it: the
+            # pruned walk's are those of traverse.
+            merged = counting.global_tables(g, o.alpha, [whole])
+            assert merged.global_counts == _strip(raw), (seed, max_k)
+            assert merged.stats == stats, (seed, max_k)
+            # Three slices of the shuffled roots merge to the same result.
+            cut = len(roots) // 3
+            slices = [counting.count_roots_global(o, part, max_hold=max_k)
+                      for part in (roots[:cut], roots[cut:2 * cut],
+                                   roots[2 * cut:])]
+            for parts in ([whole], slices):
+                merged = counting.global_tables(g, o.alpha, parts, max_k)
+                assert merged.global_counts == counts, (seed, max_k)
+                assert merged.stats == stats, (seed, max_k)
             got = count(g, max_k=max_k, orientation=o)
             assert got.global_counts == counts, (seed, max_k)
             assert got.stats == stats, (seed, max_k)

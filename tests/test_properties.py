@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cliquecount import Graph, count, degeneracy_orient, pascal_rows, traverse
-from cliquecount.counting import count_roots_global
+from cliquecount.counting import count_roots_global, global_tables
 
 from conftest import quadratic_peel
 
@@ -127,15 +127,18 @@ def test_truncated_run_is_a_prefix_of_the_full_run(g):
 @given(clique_rich_graphs(), st.randoms(use_true_random=False))
 def test_global_engine_matches_traverse(g, rng):
     o = degeneracy_orient(g)
-    binomial = pascal_rows(o.alpha + 1)
     roots = list(range(g.n))
     rng.shuffle(roots)
     for max_k in (None, 1, 2, 3, 5):
         raw, shape = _global_reference(g, o, max_k)
-        counts = [0] * (o.alpha + 2)
-        assert count_roots_global(o, roots, counts, binomial,
-                                  max_hold=max_k) == shape, max_k
-        assert counts == raw, max_k
+        tables = global_tables(
+            g, o.alpha, [count_roots_global(o, roots, max_hold=max_k)])
+        stats = tables.stats
+        assert (stats.node_count, stats.leaf_count,
+                stats.max_depth) == shape, max_k
+        while len(raw) > 1 and raw[-1] == 0:
+            raw.pop()
+        assert tables.global_counts == raw, max_k
 
 
 @settings(max_examples=80, deadline=None)

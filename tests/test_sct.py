@@ -192,15 +192,24 @@ def test_truncation_to_zero_emits_nothing():
 
 def test_deep_tree_walks_without_recursion():
     # K120's tree is 120 links deep. With only 60 frames of headroom, a
-    # walk that recursed once per level would raise RecursionError.
+    # walk or a tree dump that recursed once per level would raise
+    # RecursionError.
     g = complete_graph(120)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         tables = count(g, per_vertex=True, per_edge=True)
         stats = traverse(g)
+        tree = materialize_sct(g)
+        nodes, leaves = tree.node_count(), tree.leaf_count()
+        paths = list(tree.iter_paths())
+        text = tree.to_text()
+        records = tree.to_records()
     finally:
         sys.setrecursionlimit(limit)
+    assert nodes == stats.node_count and leaves == len(paths) == 120
+    assert len(text.splitlines()) == len(records) == nodes + 1
+    assert max(len(h) + len(p) for h, p in paths) == 120
     for v in range(g.n):
         row = tables.vertex_row(v)
         assert len(row) == 121
