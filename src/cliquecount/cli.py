@@ -38,8 +38,6 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-PARALLEL_AUTO_THRESHOLD = 50_000
-
 
 @dataclass
 class RunReport:
@@ -72,12 +70,6 @@ def _load(path: str) -> Graph:
         return load_edge_list(path)
     except OSError as exc:
         raise CliqueCountError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _auto_threads(n: int) -> int:
-    if n < PARALLEL_AUTO_THRESHOLD:
-        return 1
-    return os.cpu_count() or 1
 
 
 def _write_global_csv(tables, out) -> None:
@@ -254,10 +246,9 @@ def cmd_count(args) -> int:
     orientation = degeneracy_orient(graph)
     t2 = time.perf_counter()
     local = args.per_vertex or args.per_edge
-    threads = args.threads or (1 if local else _auto_threads(graph.n))
     tables = counting.count(
         graph, per_vertex=args.per_vertex, per_edge=args.per_edge,
-        max_k=args.max_k, threads=threads, counters=args.counters,
+        max_k=args.max_k, threads=args.threads, counters=args.counters,
         orientation=orientation)
     t3 = time.perf_counter()
     _emit_tables(graph, tables, args.format, args.output)
@@ -270,7 +261,7 @@ def cmd_count(args) -> int:
         mode += "+per-edge"
     report = RunReport(
         input=args.input, n=graph.n, m=graph.m, mode=mode,
-        threads=1 if local else threads,
+        threads=1 if local else args.threads,
         max_k=args.max_k, counters=args.counters, alpha=orientation.alpha,
         max_clique_size=tables.max_clique_size(),
         sct_node_count=tables.stats.node_count,
@@ -367,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also count cliques through each edge")
     count_p.add_argument("--max-k", type=int, default=None, metavar="K",
                          help="count clique sizes up to K only")
-    count_p.add_argument("--threads", type=int, default=None, metavar="N",
-                         help="worker processes for global counting "
-                              "(default: all cores for a global-only count "
-                              "of a large graph, else 1)")
+    count_p.add_argument("--threads", type=int, default=1, metavar="N",
+                         help="worker processes for a global-only count "
+                              "(default 1; local counts always use 1)")
     count_p.add_argument("--format", choices=("csv", "json"), default="csv")
     count_p.add_argument("--output", default=None, metavar="PATH",
                          help="write counts here instead of stdout")

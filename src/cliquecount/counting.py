@@ -3,15 +3,16 @@
 Every leaf of the clique tree contributes binomial-weighted increments:
 a path with hold set H and pivot set P represents C(|P|, i) cliques of
 size |H| + i for each i, and membership of a vertex or edge in H versus P
-decides which binomial row applies. Global counters are exact Python
-integers. Local (per-vertex, per-edge) counts live in flat fixed-width
-tables (``LocalTable``) that are exact by construction; ``LeafBatches``
-fills them from ``traverse``'s leaves in numpy batches. Global-only
-counts go through ``count_roots_global``, which runs the same walker
-(``sct.walk_root``) over a set of roots and returns their leaves
-tallied by (|H|, |P|); ``global_tables`` merges such tallies, from one
-batch or from many (``parallel.count_global_parallel``), into counts.
-The "fast" counter mode adds a check that every count fits the signed
+decides which binomial row applies. Global counts depend only on the
+walker's histogram of leaves by (|H|, |P|) (``TraversalStats.leaves``),
+and ``global_tables`` is the one place that turns histograms into exact
+Python-integer counts, for every count. Global-only counts get theirs
+from ``count_roots_global``, which runs the walker (``sct.walk_root``)
+over a set of roots, in one batch or in many
+(``parallel.count_global_parallel``). Local counts get theirs from
+``traverse``, whose leaves ``LeafBatches`` adds in numpy batches to flat
+fixed-width tables (``LocalTable``) that are exact by construction. The
+"fast" counter mode adds a check that every count fits the signed
 64-bit range, and aborts otherwise.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -351,9 +351,6 @@ class CountTables:
                 return k
         return 0
 
-    def global_nonzero(self) -> dict[int, int]:
-        return {k: c for k, c in enumerate(self.global_counts) if c and k > 0}
-
     # -- mutation --------------------------------------------------------
 
     def _trim(self, max_k: int | None) -> None:
@@ -380,23 +377,16 @@ def _strip(row: list[int]) -> list[int]:
     return row
 
 
-def _add_leaf_rows(counts: list[int], binomial: list[list[int]],
-                   tally) -> None:
-    """Add C(p, i) * leaves to counts[h + i] for each ((h, p), leaves)."""
-    for (h, p), leaf_count in tally:
-        for i, c in enumerate(binomial[p]):
-            counts[h + i] += leaf_count * c
-
-
 class LeafBatches:
     """A ``traverse`` sink that adds leaves to CountTables in batches.
 
     Each leaf's |H|, |P| and vertex ids (hold first) go to flat buffers.
     Once they hold ``LEAF_BATCH`` incidences, and once more when ``flush``
     is called after the walk, ``accumulate_leaf`` adds the batch in numpy.
-    With h = |H| and p = |P|, a leaf adds:
+    With h = |H| and p = |P|, a leaf adds C(p, i) to the global count
+    C_{h+i} for 0 <= i <= p (``global_tables`` adds these from the walk's
+    histogram), and to the local tables:
 
-      global:             C_{h+i}      += C(p, i)    for 0 <= i <= p
       vertex v in hold:   c_{h+i}(v)   += C(p, i)    for 0 <= i <= p
       vertex v in pivots: c_{h+i+1}(v) += C(p-1, i)  for 0 <= i <= p-1
       edge within hold:   c_{h+i}(e)   += C(p, i)    for 0 <= i <= p
@@ -409,8 +399,7 @@ class LeafBatches:
     times its tally, in one indexed addition per (h + r, p - r). Vertex
     pairs come from ``triu_indices`` per leaf size, and edge ids from a
     binary search on the canonical edge codes. ``max_k`` drops the
-    increments beyond it. Global counts go to ``tables.global_counts``,
-    which starts as alpha + 2 zeros.
+    increments beyond it.
     """
 
     def __init__(self, tables: CountTables, alpha: int,
@@ -419,8 +408,6 @@ class LeafBatches:
         self.top = alpha + 1 if max_k is None else max_k
         self.rows = pascal_rows(alpha + 1)
         span = alpha + 2
-        self.span = span
-        tables.global_counts = [0] * span
         self.binomial = np.array(
             [[c if c < 2 ** 63 else 0 for c in row] + [0] * (span - len(row))
              for row in self.rows], dtype=np.int64)
@@ -465,22 +452,19 @@ class LeafBatches:
 
 def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
                     ids: np.ndarray) -> int:
-    """Add a batch of leaves to ``batches.tables`` by the six rules.
+    """Add a batch of leaves to ``batches.tables`` by the local rules.
 
     Leaf i has ``h[i]`` hold and ``p[i]`` pivot vertices; ``ids`` lists
     the leaves' vertices one leaf after another, hold first. Returns the
-    number of increments: one per entry of each binomial row added, as if
-    the rows were added leaf by leaf and entity by entity.
+    number of increments of all six rules: one per entry of each binomial
+    row added, as if the rows were added leaf by leaf and entity by
+    entity. That includes the global rule's, although ``global_tables``
+    adds those rows from the histogram instead.
     ``bench/tracer.py`` times the calls of this function by name.
     """
     tables = batches.tables
     top = batches.top
-    span = batches.span
-    pairs, leaves = np.unique(h * span + p, return_counts=True)
-    hs, ps = np.divmod(pairs, span)
-    _add_leaf_rows(tables.global_counts, batches.rows,
-                   zip(zip(hs.tolist(), ps.tolist()), leaves.tolist()))
-    increments = int(np.clip(np.minimum(ps, top - hs) + 1, 0, None) @ leaves)
+    increments = int(np.clip(np.minimum(p, top - h) + 1, 0, None).sum())
     size = h + p
     start = np.cumsum(size) - size
     args = (batches.binomial, batches.limbs, top)
@@ -510,14 +494,13 @@ def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
 
 
 def count_roots_global(orientation: DegeneracyOrientation, roots,
-                       max_hold: int | None = None
-                       ) -> tuple[dict[tuple[int, int], int], int]:
+                       max_hold: int | None = None) -> TraversalStats:
     """Global-count engine over the given root vertices.
 
-    Walks the subtrees of ``traverse`` with a global-only sink, restricted
-    to ``roots``, and returns (tally, nodes): the leaves tallied by
-    (|H|, |P|) and the number of nodes. ``global_tables`` turns any
-    number of these results, for disjoint sets of roots, into counts.
+    Walks the subtrees of ``traverse`` restricted to ``roots``, with no
+    leaf callback, and returns their shape: the node count and the leaf
+    histogram by (|H|, |P|). ``global_tables`` turns any number of these
+    results, for disjoint sets of roots, into counts.
 
     Roots whose rows fit one 64-bit word are set up in numpy chunks
     (``sct.root_chunks`` and ``sct._chunk_rows``). A root whose rows are
@@ -526,23 +509,18 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     are walked, by ``sct.walk_root``. Wider roots build Python-integer
     rows one at a time.
     """
-    # Leaves per (|H|, |P|); at most (alpha + 1)^2 entries.
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
+    walked = TraversalStats()
     if max_hold is not None and max_hold < 1:
-        return tally, 0
+        return walked
     offsets = orientation.out_offsets
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
     roots = np.asarray(roots, dtype=np.int64)
     sizes = out_deg[roots]
 
-    def leaf(hold, pivots):
-        tally[len(hold), len(pivots)] += 1
-
-    walked = TraversalStats()
     for v in roots[sizes > sct.WORD_BITS].tolist():
         sct.walk_root(walked, v, targets[offsets[v]:offsets[v + 1]].tolist(),
-                      sct._python_rows(offsets, targets, v), leaf, max_hold)
+                      sct._python_rows(offsets, targets, v), max_hold=max_hold)
 
     narrow = sizes <= sct.WORD_BITS
     roots, sizes = roots[narrow], sizes[narrow]
@@ -557,7 +535,8 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
             v = int(chunk[i])
             sct.walk_root(walked, v,
                           targets[offsets[v]:offsets[v + 1]].tolist(),
-                          rows[first[i]:first[i + 1]].tolist(), leaf, max_hold)
+                          rows[first[i]:first[i + 1]].tolist(),
+                          max_hold=max_hold)
     settled = np.concatenate(settled) if settled else sizes[:0]
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
@@ -570,31 +549,39 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
     for key, leaf_count in (((1, 0), bare), ((1, 1), edge_free),
                             ((2, 0), holds)):
         if leaf_count:
-            tally[key] += leaf_count
-    return tally, walked.node_count + bare + 2 * edge_free + holds
+            walked.leaves[key] = walked.leaves.get(key, 0) + leaf_count
+    walked.node_count += bare + 2 * edge_free + holds
+    return walked
 
 
-def global_tables(graph: Graph, alpha: int, parts,
-                  max_k: int | None = None) -> CountTables:
-    """Global counts and tree shape from ``count_roots_global`` results.
+def global_tables(graph: Graph, alpha: int, parts, max_k: int | None = None,
+                  tables: CountTables | None = None) -> CountTables:
+    """Global counts and tree shape from the shapes of disjoint subtrees.
 
-    ``parts`` are the (tally, nodes) results of disjoint sets of roots,
-    in any order. A leaf adds the binomial row C(|P|, i) to C_{|H|+i}, so
-    each distinct (|H|, |P|) pair's row is added once, times its leaf
-    count over all parts. The leaf count and the max depth come from the
-    same tally. Counts past ``max_k`` are dropped.
+    ``parts`` are ``TraversalStats`` of disjoint sets of roots, in any
+    order: the results of ``count_roots_global``, or the one of
+    ``traverse``. Their node counts and leaf histograms are added up and
+    kept as ``tables.stats``. A leaf with hold set H and pivot set P adds
+    the binomial row C(|P|, i) to C_{|H|+i}, so each distinct (|H|, |P|)
+    pair's row is added once, times its number of leaves. Counts past
+    ``max_k`` are dropped. The global counts, the stats and alpha go on
+    ``tables`` (local tables filled by ``LeafBatches``), or on new
+    global-only tables. Every count sets them here.
     """
-    tally: Counter[tuple[int, int]] = Counter()
-    nodes = 0
-    for part, part_nodes in parts:
-        tally.update(part)
-        nodes += part_nodes
-    tables = CountTables(graph)
-    tables.global_counts = [0] * (alpha + 2)
-    _add_leaf_rows(tables.global_counts, pascal_rows(alpha + 1),
-                   tally.items())
-    tables.stats = TraversalStats(nodes, sum(tally.values()),
-                                  max((h + p for h, p in tally), default=0))
+    stats = TraversalStats()
+    for part in parts:
+        stats.node_count += part.node_count
+        for key, leaf_count in part.leaves.items():
+            stats.leaves[key] = stats.leaves.get(key, 0) + leaf_count
+    if tables is None:
+        tables = CountTables(graph)
+    counts = [0] * (alpha + 2)
+    binomial = pascal_rows(alpha + 1)
+    for (h, p), leaf_count in stats.leaves.items():
+        for i, c in enumerate(binomial[p]):
+            counts[h + i] += leaf_count * c
+    tables.global_counts = counts
+    tables.stats = stats
     tables.alpha = alpha
     tables._trim(max_k)
     return tables
@@ -631,10 +618,10 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
         tables = CountTables(graph, *local_tables(orientation, max_k,
                                                   per_vertex, per_edge))
         sink = LeafBatches(tables, orientation.alpha, max_k)
-        tables.stats = traverse(graph, orientation, sink, max_hold=max_k)
+        stats = traverse(graph, orientation, sink, max_hold=max_k)
         sink.flush()
-        tables._trim(max_k)
-        tables.alpha = orientation.alpha
+        tables = global_tables(graph, orientation.alpha, [stats], max_k,
+                               tables)
     else:
         from .parallel import count_global_parallel
         tables = count_global_parallel(graph, orientation, threads, max_k)

@@ -6,20 +6,25 @@ of its hold-labeled links H(T) and pivot-labeled links P(T), and the
 cliques represented by T are exactly H(T) union Q over all subsets Q of
 P(T), each produced by exactly one (path, subset) pair.
 
+Such a path stands for C(|P(T)|, k - |H(T)|) k-cliques, so the global
+counts and the tree's shape depend only on the histogram of leaves by
+(|H|, |P|), which ``TraversalStats`` keeps.
+
 The root's children are the hold links v, one per vertex, each with the
 subproblem N+(v) given as one bitmask row per out-neighbor. ``walk_root``
 is the one pivot walker: it walks a root's subtree iteratively, storing
-only the current path and the hold children still to visit, and hands
-each leaf to a callback. Every count runs it: ``traverse`` over all roots
-in id order (local counts, ``materialize_sct`` and the tests), and
-``counting.count_roots_global`` over the roots whose subproblem has an
-edge. Rows come from ``_chunk_rows`` in numpy for chunks of roots with at
-most ``WORD_BITS`` out-neighbors, and from ``_python_rows`` for wider ones.
+only the current path and the hold children still to visit, tallies
+every leaf in the histogram and, if asked, hands it to a callback. Every
+count runs it: ``traverse`` over all roots in id order (local counts,
+``materialize_sct`` and the tests), and ``counting.count_roots_global``
+over the roots whose subproblem has an edge. Rows come from
+``_chunk_rows`` in numpy for chunks of roots with at most ``WORD_BITS``
+out-neighbors, and from ``_python_rows`` for wider ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -53,12 +58,21 @@ class TraversalStats:
     """Shape of the (implicit) clique tree.
 
     ``node_count`` counts every node created below the root, including
-    empty-labeled leaves; the root itself is not counted. ``max_depth`` is
-    the longest path length in links.
+    empty-labeled leaves; the root itself is not counted. ``leaves`` maps
+    (|H|, |P|) to the number of leaves whose path has that many hold and
+    pivot links; pairs without a leaf are absent. ``max_depth`` is the
+    longest path length in links.
     """
     node_count: int = 0
-    leaf_count: int = 0
-    max_depth: int = 0
+    leaves: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def leaf_count(self) -> int:
+        return sum(self.leaves.values())
+
+    @property
+    def max_depth(self) -> int:
+        return max((h + p for h, p in self.leaves), default=0)
 
 
 def traverse(graph: Graph,
@@ -71,10 +85,10 @@ def traverse(graph: Graph,
     Every vertex v is a hold link at the root, with the subproblem induced
     on the out-neighborhood of v; ``walk_root`` walks each one's subtree,
     roots in id order. Children are created even when their label is
-    empty; every empty subproblem is a leaf and fires ``sink(hold,
-    pivots)``, leaves in the order of a recursive pre-order walk: at each
-    node the pivot child's subtree, then the hold children's by ascending
-    id.
+    empty; every empty subproblem is a leaf, tallied in the returned
+    stats, and fires ``sink(hold, pivots)`` if a sink is given, leaves in
+    the order of a recursive pre-order walk: at each node the pivot
+    child's subtree, then the hold children's by ascending id.
 
     The sink receives the live path lists; they are only valid during the
     call, so copy them if you keep them. With ``max_hold`` set, branches
@@ -94,9 +108,6 @@ def traverse(graph: Graph,
     stats = TraversalStats()
     if graph.n == 0 or (max_hold is not None and max_hold < 1):
         return stats
-    if sink is None:
-        def sink(hold, pivots):
-            return None
     offsets = orientation.out_offsets
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
@@ -121,16 +132,17 @@ def traverse(graph: Graph,
 
 
 def walk_root(stats: TraversalStats, root: int, members: list[int],
-              rows: list[int], leaf: Callable[[list, list], None],
+              rows: list[int], leaf: Callable[[list, list], None] | None = None,
               max_hold: int | None = None, on_node=None) -> None:
     """Walk the subtree of root's hold link, adding its shape to ``stats``.
 
     ``members`` are root's out-neighbors in ascending id order, and
     ``rows[i]`` has bit j set where ``members[i]`` and ``members[j]`` are
     adjacent. The walk is pre-order and keeps the path as two live lists of
-    vertex ids, ``hold`` (root first) and ``pivots``: ``leaf(hold,
-    pivots)`` fires at every leaf and ``on_node(mask, members, hold,
-    pivots)`` at every node, as in ``traverse``.
+    vertex ids, ``hold`` (root first) and ``pivots``. Every node adds to
+    ``stats.node_count`` and every leaf to ``stats.leaves``; ``leaf(hold,
+    pivots)``, if given, fires at every leaf and ``on_node(mask, members,
+    hold, pivots)`` at every node, as in ``traverse``.
 
     At a node with subproblem ``mask`` the pivot is the vertex of maximum
     degree within it, lowest id on ties. The scan stops at the first vertex
@@ -143,12 +155,14 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
     order. Hold children are not created once the path holds ``max_hold``
     hold vertices. A node whose subproblem has no edge is settled in
     closed form: its lowest vertex is the pivot leaf and each other vertex
-    a hold leaf, in ascending order.
+    a hold leaf, in ascending order, all tallied with one addition. Only
+    the callbacks visit those hold leaves one by one.
     """
     hold: list[int] = []
     pivots: list[int] = []
-    nodes = leaves = 0
-    depth = stats.max_depth
+    nodes = 0
+    tally = stats.leaves
+    count = tally.get
     # One entry per hold child still to visit: its subproblem, the path
     # lengths at its parent and its vertex.
     stack = [((1 << len(rows)) - 1, 0, 0, root)]
@@ -165,10 +179,10 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
             if on_node is not None:
                 on_node(mask, members, hold, pivots)
             if not mask:
-                leaves += 1
-                if len(hold) + len(pivots) > depth:
-                    depth = len(hold) + len(pivots)
-                leaf(hold, pivots)
+                key = len(hold), len(pivots)
+                tally[key] = count(key, 0) + 1
+                if leaf is not None:
+                    leaf(hold, pivots)
                 break
             full = mask.bit_count() - 1
             m = mask
@@ -185,22 +199,29 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
                 m ^= low
             if not best_deg:
                 # No edge: the pivot leaf, then a hold leaf per other vertex.
+                key = len(hold), len(pivots) + 1
+                tally[key] = count(key, 0) + 1
+                m = mask ^ (1 << best) if may_hold else 0
+                holds = m.bit_count()
+                nodes += 1 + holds
+                if holds:
+                    key = len(hold) + 1, len(pivots)
+                    tally[key] = count(key, 0) + holds
+                if leaf is None and on_node is None:
+                    break
                 pivots.append(members[best])
-                if len(hold) + len(pivots) > depth:
-                    depth = len(hold) + len(pivots)
                 if on_node is not None:
                     on_node(0, members, hold, pivots)
-                leaf(hold, pivots)
+                if leaf is not None:
+                    leaf(hold, pivots)
                 pivots.pop()
-                m = mask ^ (1 << best) if may_hold else 0
-                nodes += 1 + m.bit_count()
-                leaves += 1 + m.bit_count()
                 while m:
                     low = m & -m
                     hold.append(members[low.bit_length() - 1])
                     if on_node is not None:
                         on_node(0, members, hold, pivots)
-                    leaf(hold, pivots)
+                    if leaf is not None:
+                        leaf(hold, pivots)
                     hold.pop()
                     m ^= low
                 break
@@ -215,8 +236,6 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
             pivots.append(members[best])
             mask = best_row
     stats.node_count += nodes
-    stats.leaf_count += leaves
-    stats.max_depth = depth
 
 
 def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:

@@ -203,16 +203,18 @@ def test_output_through_a_symlink_keeps_the_link(capsys, tmp_path,
 
 def test_local_count_reports_the_one_thread_it_ran(capsys, tmp_path,
                                                    monkeypatch, caplog):
-    monkeypatch.setattr(cli, "PARALLEL_AUTO_THRESHOLD", 1)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # Without --threads a count runs in one process, however many cores
+    # there are, global-only or local; a local count does not warn.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     path = write_graph(tmp_path, complete_graph(5))
     report_path = tmp_path / "report.json"
-    with caplog.at_level("WARNING"):
-        code, _, err = run_cli(capsys, "count", path, "--per-vertex",
-                               "--report", str(report_path))
-    assert code == 0
-    assert json.loads(report_path.read_text())["threads"] == 1
-    assert "WARNING" not in err and not caplog.records
+    for flags in (["--per-vertex"], []):
+        with caplog.at_level("WARNING"):
+            code, _, err = run_cli(capsys, "count", path, *flags,
+                                   "--report", str(report_path))
+        assert code == 0
+        assert json.loads(report_path.read_text())["threads"] == 1, flags
+        assert "WARNING" not in err and not caplog.records
 
 
 def test_usage_error_exit_code(triangle_file):

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from cliquecount import (CounterOverflowError, CountTables,
-                         Graph, LeafBatches, compare, count, counting,
-                         degeneracy_orient, enumerate_all_cliques,
+                         Graph, LeafBatches, TraversalStats, compare, count,
+                         counting, degeneracy_orient, enumerate_all_cliques,
                          pascal_rows, traverse)
 from cliquecount.counting import FAST_COUNTER_MAX
 
@@ -30,7 +31,11 @@ def test_pascal_rows_exceed_64_bits_exactly():
 
 
 def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None):
-    """Tables of the given (hold, pivots) leaves, added by LeafBatches."""
+    """Tables of the given (hold, pivots) leaves, as ``count`` builds them.
+
+    LeafBatches adds the leaves to the local tables, and ``global_tables``
+    the global counts of their (|H|, |P|) histogram.
+    """
     o = degeneracy_orient(g)
     tables = CountTables(g, *counting.local_tables(o, max_k, per_vertex,
                                                    per_edge))
@@ -38,8 +43,9 @@ def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None):
     for hold, pivots in leaves:
         batches(hold, pivots)
     batches.flush()
-    tables._trim(max_k)
-    return tables
+    shape = TraversalStats(leaves=Counter(
+        (len(hold), len(pivots)) for hold, pivots in leaves))
+    return counting.global_tables(g, o.alpha, [shape], max_k, tables)
 
 
 def test_accumulate_leaf_single_vertex():
@@ -365,6 +371,16 @@ def test_basic_count_identities():
         assert t.edges() == list(g.edges())
         for u, v in t.edges():
             assert t.edge_count(u, v, 2) == 1
+
+
+def test_leaf_histogram_of_k5():
+    # Every root's subproblem is a clique, so each root has one leaf: the
+    # root held and its s out-neighbors as pivots, s = 0..4.
+    want = {(1, s): 1 for s in range(5)}
+    for local in (False, True):
+        stats = count(complete_graph(5), per_vertex=local, per_edge=local).stats
+        assert stats.leaves == want, local
+        assert (stats.leaf_count, stats.max_depth) == (5, 5)
 
 
 def test_exact_counts_beyond_64_bits():

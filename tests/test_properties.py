@@ -131,14 +131,21 @@ def test_global_engine_matches_traverse(g, rng):
     rng.shuffle(roots)
     for max_k in (None, 1, 2, 3, 5):
         raw, shape = _global_reference(g, o, max_k)
-        tables = global_tables(
-            g, o.alpha, [count_roots_global(o, roots, max_hold=max_k)])
+        engine = count_roots_global(o, roots, max_hold=max_k)
+        tables = global_tables(g, o.alpha, [engine])
         stats = tables.stats
         assert (stats.node_count, stats.leaf_count,
                 stats.max_depth) == shape, max_k
         while len(raw) > 1 and raw[-1] == 0:
             raw.pop()
         assert tables.global_counts == raw, max_k
+        # The local path builds its global counts and shape, leaf
+        # histogram included, from traverse's walk, in the same function.
+        trimmed = global_tables(g, o.alpha, [engine], max_k)
+        local = count(g, per_vertex=True, per_edge=True, max_k=max_k,
+                      orientation=o)
+        assert local.global_counts == trimmed.global_counts, max_k
+        assert local.stats == trimmed.stats == stats, max_k
 
 
 @settings(max_examples=80, deadline=None)

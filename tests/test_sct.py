@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_truncated_leaves_are_a_subset(seed):
         assert all(len(h) <= cap for h, _ in truncated)
         # every surviving full-run leaf is reproduced
         assert set(truncated) == {(h, p) for h, p in full if len(h) <= cap}
+
+
+def test_leaf_histogram_matches_the_leaves():
+    # The walk tallies leaves by (|H|, |P|) whether or not a sink sees
+    # them; without one, edge-free nodes' hold leaves are tallied in one
+    # addition instead of one by one.
+    for seed in range(4):
+        g = random_gnp(30, 0.3, 1600 + seed)
+        for max_hold in (None, 1, 2, 3):
+            paths, stats = collect_paths(g, max_hold)
+            want = Counter((len(hold), len(pivots)) for hold, pivots in paths)
+            assert stats.leaves == want, (seed, max_hold)
+            assert stats.leaf_count == len(paths)
+            assert stats.max_depth == max(map(sum, want), default=0)
+            assert traverse(g, max_hold=max_hold) == stats, (seed, max_hold)
 
 
 def test_truncation_to_zero_emits_nothing():
