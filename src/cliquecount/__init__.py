@@ -9,7 +9,7 @@ per-vertex, and per-edge clique counts off the leaves. See
 
 from .counting import CountTables, LeafBatches, count, pascal_rows
 from .degeneracy import DegeneracyOrientation, degeneracy_orient, degeneracy_stats
-from .errors import (CliqueCountError, CounterOverflowError,
+from .errors import (CliqueCountError, CountCheckError, CounterOverflowError,
                      EdgeListParseError, SizeLimitError)
 from .graph import Graph, edge_list_text, load_edge_list, write_edge_list
 from .oracle import CliqueCensus, compare, enumerate_all_cliques
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CliqueCensus",
     "CliqueCountError",
+    "CountCheckError",
     "CountTables",
     "CounterOverflowError",
     "DegeneracyOrientation",

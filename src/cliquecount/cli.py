@@ -10,7 +10,8 @@ Counts go to stdout or --output as CSV (default) or JSON; the run report
 (sizes, degeneracy, clique-tree shape, per-phase wall times) goes to
 stderr or --report as JSON. Exit codes: 0 success, 1 runtime failure
 (input file missing or unreadable, parse error, size cap, counter
-overflow), 2 usage error, 3 verification mismatch.
+overflow, a failed count self-check), 2 usage error, 3 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import counting, oracle
 from .degeneracy import degeneracy_orient, degeneracy_stats
-from .errors import CliqueCountError, CounterOverflowError
+from .errors import CliqueCountError
 from .graph import Graph, load_edge_list
 from .sct import DEFAULT_NODE_CAP, materialize_sct
 
@@ -415,9 +416,6 @@ def main(argv=None) -> int:
         parser.error("--threads must be >= 1")
     try:
         return args.func(args)
-    except CounterOverflowError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
     except CliqueCountError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

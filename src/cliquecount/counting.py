@@ -7,13 +7,14 @@ decides which binomial row applies. Global counts depend only on the
 walker's histogram of leaves by (|H|, |P|) (``TraversalStats.leaves``),
 and ``global_tables`` is the one place that turns histograms into exact
 Python-integer counts, for every count. Global-only counts get theirs
-from ``count_roots_global``, which runs the walker (``sct.walk_root``)
-over a set of roots, in one batch or in many
-(``parallel.count_global_parallel``). Local counts get theirs from
-``traverse``, whose leaves ``LeafBatches`` adds in numpy batches to flat
-fixed-width tables (``LocalTable``) that are exact by construction. The
-"fast" counter mode adds a check that every count fits the signed
-64-bit range, and aborts otherwise.
+from ``count_roots_global``, the walk of ``sct.walk_roots`` over a set
+of roots, in one batch or in many (``parallel.count_global_parallel``).
+Local counts get theirs from ``traverse``, the same front end over every
+root with a leaf callback: ``LeafBatches`` adds the leaves in numpy
+batches to flat fixed-width tables (``LocalTable``) that are exact by
+construction. Every count checks C_1 = n and C_2 = m. The "fast" counter
+mode adds a check that every count fits the signed 64-bit range, and
+aborts otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import sct
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
-from .errors import CounterOverflowError
+from .errors import CountCheckError, CounterOverflowError
 from .graph import Graph
 from .sct import TraversalStats, traverse
 
@@ -495,63 +496,14 @@ def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
 
 def count_roots_global(orientation: DegeneracyOrientation, roots,
                        max_hold: int | None = None) -> TraversalStats:
-    """Global-count engine over the given root vertices.
+    """Shape of the given roots' subtrees, for ``global_tables``.
 
-    Walks the subtrees of ``traverse`` restricted to ``roots``, with no
-    leaf callback, and returns their shape: the node count and the leaf
-    histogram by (|H|, |P|). ``global_tables`` turns any number of these
-    results, for disjoint sets of roots, into counts.
-
-    Roots whose rows fit one 64-bit word are set up in numpy chunks
-    (``sct.root_chunks`` and ``sct._chunk_rows``). A root whose rows are
-    all zero has the fixed two-level tree of an edge-free subproblem and
-    is settled in closed form, all such roots at once; only the others
-    are walked, by ``sct.walk_root``. Wider roots build Python-integer
-    rows one at a time.
+    ``sct.walk_roots`` without a callback: the node count and the leaf
+    histogram by (|H|, |P|) of ``traverse``'s walk restricted to
+    ``roots``. ``global_tables`` turns any number of these results, for
+    disjoint sets of roots, into counts.
     """
-    walked = TraversalStats()
-    if max_hold is not None and max_hold < 1:
-        return walked
-    offsets = orientation.out_offsets
-    targets = orientation.out_targets
-    out_deg = np.diff(offsets)
-    roots = np.asarray(roots, dtype=np.int64)
-    sizes = out_deg[roots]
-
-    for v in roots[sizes > sct.WORD_BITS].tolist():
-        sct.walk_root(walked, v, targets[offsets[v]:offsets[v + 1]].tolist(),
-                      sct._python_rows(offsets, targets, v), max_hold=max_hold)
-
-    narrow = sizes <= sct.WORD_BITS
-    roots, sizes = roots[narrow], sizes[narrow]
-    # Out-degrees of the roots whose subproblem has no edge.
-    settled = []
-    for lo, hi in sct.root_chunks(offsets, targets, out_deg, roots):
-        chunk, chunk_sizes = roots[lo:hi], sizes[lo:hi]
-        rows, first, busy = sct._chunk_rows(offsets, targets, out_deg,
-                                            chunk, chunk_sizes)
-        settled.append(chunk_sizes[~busy])
-        for i in np.flatnonzero(busy).tolist():
-            v = int(chunk[i])
-            sct.walk_root(walked, v,
-                          targets[offsets[v]:offsets[v + 1]].tolist(),
-                          rows[first[i]:first[i + 1]].tolist(),
-                          max_hold=max_hold)
-    settled = np.concatenate(settled) if settled else sizes[:0]
-
-    # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
-    # lowest out-neighbor is the pivot leaf (1, 1) and every other one a
-    # hold leaf (2, 0). Capped at one hold vertex, only the pivot leaf is
-    # left. A root with no out-neighbor is one leaf, (1, 0).
-    bare = int(np.count_nonzero(settled == 0))
-    edge_free = len(settled) - bare
-    holds = 0 if max_hold == 1 else int(settled.sum()) - edge_free
-    for key, leaf_count in (((1, 0), bare), ((1, 1), edge_free),
-                            ((2, 0), holds)):
-        if leaf_count:
-            walked.leaves[key] = walked.leaves.get(key, 0) + leaf_count
-    walked.node_count += bare + 2 * edge_free + holds
-    return walked
+    return sct.walk_roots(orientation, roots, max_hold=max_hold)
 
 
 def global_tables(graph: Graph, alpha: int, parts, max_k: int | None = None,
@@ -600,7 +552,8 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
     single-threaded. ``counters`` selects "exact" (unbounded
     integers, the default) or "fast" (the same counts, checked against
     the signed 64-bit range: CounterOverflowError if any count exceeds
-    it, never a wrapped value).
+    it, never a wrapped value). Every count checks C_1 = n and, unless
+    ``max_k`` is 1, C_2 = m, and raises CountCheckError on a mismatch.
     """
     if counters not in (EXACT, FAST):
         raise ValueError(f"unknown counter mode: {counters!r}")
@@ -625,6 +578,12 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
     else:
         from .parallel import count_global_parallel
         tables = count_global_parallel(graph, orientation, threads, max_k)
+    # Every vertex is a 1-clique and every edge a 2-clique.
+    for k, known in ((1, graph.n), (2, graph.m))[:max_k]:
+        if tables.global_count(k) != known:
+            raise CountCheckError(
+                f"count self-check failed: C_{k} = {tables.global_count(k)}, "
+                f"expected {known}")
     if counters == FAST:
         tables._enforce_bound(FAST_COUNTER_MAX)
     return tables

@@ -26,3 +26,7 @@ class CounterOverflowError(CliqueCountError):
     def __init__(self, message="clique counter exceeded the fixed-width range; "
                                "rerun in exact counter mode (--exact)"):
         super().__init__(message)
+
+
+class CountCheckError(CliqueCountError):
+    """A finished count disagrees with a total known before the walk."""

@@ -14,12 +14,12 @@ The root's children are the hold links v, one per vertex, each with the
 subproblem N+(v) given as one bitmask row per out-neighbor. ``walk_root``
 is the one pivot walker: it walks a root's subtree iteratively, storing
 only the current path and the hold children still to visit, tallies
-every leaf in the histogram and, if asked, hands it to a callback. Every
-count runs it: ``traverse`` over all roots in id order (local counts,
-``materialize_sct`` and the tests), and ``counting.count_roots_global``
-over the roots whose subproblem has an edge. Rows come from
-``_chunk_rows`` in numpy for chunks of roots with at most ``WORD_BITS``
-out-neighbors, and from ``_python_rows`` for wider ones.
+every leaf in the histogram and, if asked, hands it to a callback.
+``walk_roots`` is its one front end: it sets roots up in chunks, every
+root's rows built in numpy by ``_chunk_rows`` whatever its width, and
+walks them. ``traverse`` runs it over all roots in id order (local
+counts, ``materialize_sct`` and the tests), and
+``counting.count_roots_global`` over any set of roots.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ DEFAULT_NODE_CAP = 10 ** 6
 # own storage on small ones, while large graphs need few numpy calls.
 ROOT_CHUNK_WORK = 1 << 11
 ROOT_CHUNK_SHARE = 16
-# Roots with at most this many out-neighbors get one-word bitmask rows
-# built in bulk; wider roots are set up one at a time.
+# Bits per word of a bitmask row; a root with d out-neighbors has rows of
+# ceil(d / WORD_BITS) words.
 WORD_BITS = 64
 
 
@@ -83,12 +83,12 @@ def traverse(graph: Graph,
     """Depth-first walk of the clique tree, storing only the current path.
 
     Every vertex v is a hold link at the root, with the subproblem induced
-    on the out-neighborhood of v; ``walk_root`` walks each one's subtree,
-    roots in id order. Children are created even when their label is
-    empty; every empty subproblem is a leaf, tallied in the returned
-    stats, and fires ``sink(hold, pivots)`` if a sink is given, leaves in
-    the order of a recursive pre-order walk: at each node the pivot
-    child's subtree, then the hold children's by ascending id.
+    on the out-neighborhood of v; ``walk_roots`` walks each one's
+    subtree, roots in id order. Children are created even when their
+    label is empty; every empty subproblem is a leaf, tallied in the
+    returned stats, and fires ``sink(hold, pivots)`` if a sink is given,
+    leaves in the order of a recursive pre-order walk: at each node the
+    pivot child's subtree, then the hold children's by ascending id.
 
     The sink receives the live path lists; they are only valid during the
     call, so copy them if you keep them. With ``max_hold`` set, branches
@@ -105,29 +105,58 @@ def traverse(graph: Graph,
     """
     if orientation is None:
         orientation = degeneracy_orient(graph)
+    return walk_roots(orientation, np.arange(graph.n), sink, max_hold,
+                      _on_node)
+
+
+def walk_roots(orientation: DegeneracyOrientation, roots,
+               leaf: Callable[[list, list], None] | None = None,
+               max_hold: int | None = None, on_node=None) -> TraversalStats:
+    """Walk the subtrees of the given roots' hold links; return their shape.
+
+    Roots are set up in chunks (``root_chunks``, ``_chunk_rows``). With a
+    callback, ``leaf`` or ``on_node`` as in ``walk_root``, every root is
+    walked, in the given order. Without one, only the roots whose
+    subproblem has an edge are walked; the others have the fixed two-level
+    tree of an edge-free subproblem and are settled in closed form, all at
+    once. The shape is the same either way.
+    """
     stats = TraversalStats()
-    if graph.n == 0 or (max_hold is not None and max_hold < 1):
+    if max_hold is not None and max_hold < 1:
         return stats
     offsets = orientation.out_offsets
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
-    for lo, hi in root_chunks(offsets, targets, out_deg, np.arange(graph.n)):
-        sizes = out_deg[lo:hi]
-        narrow = sizes <= WORD_BITS
-        rows, first, _ = _chunk_rows(offsets, targets, out_deg,
-                                     np.arange(lo, hi)[narrow], sizes[narrow])
-        rows = rows.tolist()
-        spans = zip(first, first[1:])
-        ids = targets[offsets[lo]:offsets[hi]].tolist()
-        starts = (offsets[lo:hi + 1] - offsets[lo]).tolist()
-        for v, a, b, is_narrow in zip(range(lo, hi), starts, starts[1:],
-                                      narrow.tolist()):
-            if is_narrow:
-                c, d = next(spans)
-                root_rows = rows[c:d]
-            else:
-                root_rows = _python_rows(offsets, targets, v)
-            walk_root(stats, v, ids[a:b], root_rows, sink, max_hold, _on_node)
+    roots = np.asarray(roots, dtype=np.int64)
+    walk_all = leaf is not None or on_node is not None
+    # Out-degrees of the roots left to the closed form.
+    settled = [out_deg[:0]]
+    for lo, hi in root_chunks(offsets, targets, out_deg, roots):
+        chunk = roots[lo:hi]
+        rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
+        if walk_all:
+            busy[:] = True
+        settled.append(out_deg[chunk[~busy]])
+        for i in np.flatnonzero(busy).tolist():
+            v = int(chunk[i])
+            members = targets[offsets[v]:offsets[v + 1]].tolist()
+            walk_root(stats, v, members,
+                      _int_rows(rows[first[i]:first[i + 1]], len(members)),
+                      leaf, max_hold, on_node)
+    settled = np.concatenate(settled)
+
+    # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
+    # lowest out-neighbor is the pivot leaf (1, 1) and every other one a
+    # hold leaf (2, 0). Capped at one hold vertex, only the pivot leaf is
+    # left. A root with no out-neighbor is one leaf, (1, 0).
+    bare = int(np.count_nonzero(settled == 0))
+    edge_free = len(settled) - bare
+    holds = 0 if max_hold == 1 else int(settled.sum()) - edge_free
+    for key, leaf_count in (((1, 0), bare), ((1, 1), edge_free),
+                            ((2, 0), holds)):
+        if leaf_count:
+            stats.leaves[key] = stats.leaves.get(key, 0) + leaf_count
+    stats.node_count += bare + 2 * edge_free + holds
     return stats
 
 
@@ -258,21 +287,26 @@ def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _chunk_rows(offsets, targets, out_deg, roots, sizes):
-    """Bitmask rows of a chunk of roots with at most ``WORD_BITS`` out-neighbors.
+def _chunk_rows(offsets, targets, out_deg, roots):
+    """Bitmask rows of a chunk of roots, in uint64 words.
 
-    Returns (rows, first, busy): ``rows`` holds one uint64 word per
-    oriented edge of the chunk, root by root, the row of root i's j-th
-    out-neighbor at ``first[i] + j`` (``first`` has one more entry, the
-    end); ``busy[i]`` tells whether root i's subproblem has an edge. Every
-    wedge root->u->w is closed by a binary search for the edge root->w,
-    and each closed wedge sets one bit in the rows of u and w.
+    Returns (rows, first, busy). A root with d out-neighbors has d rows of
+    ceil(d / ``WORD_BITS``) words each, least significant word first: bit
+    j of the row of its i-th out-neighbor is set where its i-th and j-th
+    out-neighbors are adjacent. Root i's rows fill ``rows[first[i]:first[i
+    + 1]]``, row after row; ``busy[i]`` tells whether its subproblem has an
+    edge. Every wedge root->u->w is closed by a binary search for the edge
+    root->w, and each closed wedge sets one bit in the rows of u and w.
     """
-    ends = np.cumsum(sizes)
-    first = ends - sizes
+    sizes = out_deg[roots]
+    start = np.cumsum(sizes) - sizes
     root_of = np.repeat(np.arange(len(roots), dtype=np.int64), sizes)
-    local = np.arange(len(root_of), dtype=np.int64) - first[root_of]
+    local = np.arange(len(root_of), dtype=np.int64) - start[root_of]
     u = targets[offsets[roots][root_of] + local]
+    words = -(-sizes // WORD_BITS)
+    ends = np.cumsum(sizes * words)
+    # The first word of each out-neighbor's row.
+    row = (ends - sizes * words)[root_of] + local * words[root_of]
     # Every wedge root -> u -> w, tagged with the edge root -> u.
     du = out_deg[u]
     via = np.repeat(np.arange(len(u), dtype=np.int64), du)
@@ -286,27 +320,24 @@ def _chunk_rows(offsets, targets, out_deg, roots, sizes):
     np.minimum(at, len(keys) - 1, out=at)
     hit = keys[at] == probe
     a, b = via[hit], at[hit]
-    rows = np.zeros(len(u), dtype=np.uint64)
-    one = np.uint64(1)
-    np.bitwise_or.at(rows, a, one << local[b].astype(np.uint64))
-    np.bitwise_or.at(rows, b, one << local[a].astype(np.uint64))
+    rows = np.zeros(int(ends[-1]), dtype=np.uint64)
+    for x, y in ((a, b), (b, a)):
+        bit = local[y]
+        np.bitwise_or.at(rows, row[x] + bit // WORD_BITS,
+                         np.uint64(1) << (bit % WORD_BITS).astype(np.uint64))
     busy = np.zeros(len(roots), dtype=bool)
     busy[root_of[a]] = True
     return rows, [0] + ends.tolist(), busy
 
 
-def _python_rows(offsets, targets, v) -> list[int]:
-    """Bitmask rows of root v's subproblem, as Python integers of any width."""
-    members = targets[offsets[v]:offsets[v + 1]].tolist()
-    index = {u: j for j, u in enumerate(members)}
-    rows = [0] * len(members)
-    for j, u in enumerate(members):
-        for w in targets[offsets[u]:offsets[u + 1]].tolist():
-            jj = index.get(w)
-            if jj is not None:
-                rows[j] |= 1 << jj
-                rows[jj] |= 1 << j
-    return rows
+def _int_rows(words: np.ndarray, size: int) -> list[int]:
+    """One root's ``size`` rows, from ``_chunk_rows`` words to Python ints."""
+    if len(words) <= size:
+        return words.tolist()
+    raw = words.astype("<u8", copy=False).tobytes()
+    step = len(raw) // size
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]
 
 
 class SctNode:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cliquecount import cli, count, load_edge_list
+from cliquecount import cli, count, load_edge_list, sct
 
 from conftest import complete_graph, random_gnp
 from cliquecount import edge_list_text
@@ -375,6 +375,24 @@ def test_fast_counter_overflow_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", str(path), "--fast-counters")
     assert code == 1
     assert "--exact" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--threads", "2"], ["--per-vertex"]])
+def test_failed_count_self_check_exit_code(capsys, tmp_path, monkeypatch,
+                                           flags):
+    # A wrong tally planted in the walker: one extra hold leaf per walked
+    # root. C_2 then exceeds m, which every count checks.
+    walk_root = sct.walk_root
+
+    def planted(stats, *args, **kwargs):
+        walk_root(stats, *args, **kwargs)
+        stats.leaves[2, 0] = stats.leaves.get((2, 0), 0) + 1
+    monkeypatch.setattr(sct, "walk_root", planted)
+    path = write_graph(tmp_path, complete_graph(6))
+    code, out, err = run_cli(capsys, "count", path, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: count self-check failed: C_2")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_output_deterministic_across_threads(capsys, tmp_path):

@@ -529,8 +529,18 @@ def _wide_root_graph(seed):
     return Graph.from_edges(edges)
 
 
+def _multi_word_graph(seed):
+    """K135 less five disjoint edges: roots of out-degree 127, 128, 129
+    and up to 133, whose rows take two and three words."""
+    ends = random.Random(seed).sample(range(135), 10)
+    gone = {(min(u, v), max(u, v)) for u, v in zip(ends[::2], ends[1::2])}
+    return Graph.from_edges([e for e in itertools.combinations(range(135), 2)
+                             if e not in gone])
+
+
 @pytest.mark.parametrize("chunk_work", [3, None])
-@pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph])
+@pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph,
+                                   _multi_word_graph])
 def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
     from cliquecount import count_global_parallel, counting, sct
     chunks = []
@@ -546,10 +556,12 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
         g = build(seed)
         o = degeneracy_orient(g)
         out_degrees = set(o.out_degrees().tolist())
-        if build is _wide_root_graph:
+        if build is _mixed_graph:
+            assert 0 in out_degrees and o.alpha >= 5
+        elif build is _wide_root_graph:
             assert {63, 64, 65} <= out_degrees and max(out_degrees) >= 70
         else:
-            assert 0 in out_degrees and o.alpha >= 5
+            assert {127, 128, 129} <= out_degrees and max(out_degrees) >= 130
         roots = list(range(g.n))
         random.Random(seed).shuffle(roots)
         for max_k in (None, 1, 2, 3, 5):
@@ -579,3 +591,66 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             par = count_global_parallel(g, o, workers=2, max_k=max_k)
             assert par.global_counts == counts, (seed, max_k)
             assert par.stats == stats, (seed, max_k)
+
+
+def _expected_rows(top, value):
+    """[value(k) for k = 0..top], without trailing zeros."""
+    return _strip([value(k) for k in range(top + 1)])
+
+
+@pytest.mark.parametrize("max_k", [None, 3, 6])
+def test_multi_word_rows_closed_forms(max_k):
+    # K135 less five disjoint edges: a k-set is a clique unless it holds
+    # one of them, so C_k = sum_j (-1)^j C(5, j) C(135 - 2j, k - 2j).
+    top = 135 if max_k is None else max_k
+    g = _multi_word_graph(1)
+    assert count(g, max_k=max_k).global_counts == _expected_rows(
+        top, lambda k: sum((-1) ** j * math.comb(5, j)
+                           * math.comb(135 - 2 * j, k - 2 * j)
+                           for j in range(min(5, k // 2) + 1)) if k else 0)
+    # K130: every root has rows of up to three words; c_k(v) = C(129, k -
+    # 1) and c_k(uv) = C(128, k - 2).
+    n = 130
+    t = count(complete_graph(n), per_vertex=True, per_edge=True, max_k=max_k)
+    top = n if max_k is None else max_k
+    assert t.global_counts == _expected_rows(
+        top, lambda k: math.comb(n, k) if k else 0)
+    vertex = _expected_rows(top, lambda k: math.comb(n - 1, k - 1) if k else 0)
+    edge = _expected_rows(
+        top, lambda k: math.comb(n - 2, k - 2) if k >= 2 else 0)[2:]
+    assert all(t.vertex_row(v) == vertex for v in range(n))
+    assert all(t.edge_row(u, v) == edge for u, v in t.edges())
+    assert len(t.edges()) == n * (n - 1) // 2
+
+
+def _complete_multipartite(parts, size):
+    """K_{parts x size}: ``parts`` independent sets of ``size`` vertices,
+    every two vertices of different sets adjacent."""
+    n = parts * size
+    return Graph.from_edges([(u, v) for u, v in itertools.combinations(
+        range(n), 2) if u // size != v // size], n=n)
+
+
+@pytest.mark.parametrize("parts", [3, 4])
+@pytest.mark.parametrize("max_k", [None, 1, 2, 3])
+def test_complete_multipartite_closed_forms(parts, max_k):
+    # Parts of 8 vertices: every walk settles edge-free nodes of up to 8
+    # vertices in closed form, capped at max_hold when max_k is set.
+    # C_k = C(r, k) s^k, c_k(v) = C(r - 1, k - 1) s^(k - 1) and c_k(uv) =
+    # C(r - 2, k - 2) s^(k - 2), for r parts of s vertices.
+    r, s = parts, 8
+    g = _complete_multipartite(r, s)
+    top = r if max_k is None else max_k
+    rows = _expected_rows(top, lambda k: math.comb(r, k) * s ** k if k else 0)
+    vertex = _expected_rows(
+        top, lambda k: math.comb(r - 1, k - 1) * s ** (k - 1) if k else 0)
+    edge = _expected_rows(
+        top, lambda k: math.comb(r - 2, k - 2) * s ** (k - 2) if k >= 2
+        else 0)[2:]
+    for threads in (1, 2):
+        assert count(g, max_k=max_k, threads=threads).global_counts == rows
+    t = count(g, per_vertex=True, per_edge=True, max_k=max_k)
+    assert t.global_counts == rows
+    assert all(t.vertex_row(v) == vertex for v in range(g.n))
+    assert len(t.edges()) == g.m
+    assert all(t.edge_row(u, v) == edge for u, v in t.edges())
