@@ -7,14 +7,15 @@ decides which binomial row applies. Global counts depend only on the
 walker's histogram of leaves by (|H|, |P|) (``TraversalStats.leaves``),
 and ``global_tables`` is the one place that turns histograms into exact
 Python-integer counts, for every count. Global-only counts get theirs
-from ``count_roots_global``, the walk of ``sct.walk_roots`` over a set
-of roots, in one batch or in many (``parallel.count_global_parallel``).
-Local counts get theirs from ``traverse``, the same front end over every
-root with a leaf callback: ``LeafBatches`` adds the leaves in numpy
-batches to flat fixed-width tables (``LocalTable``) that are exact by
-construction. Every count checks C_1 = n and C_2 = m. The "fast" counter
-mode adds a check that every count fits the signed 64-bit range, and
-aborts otherwise.
+from ``count_roots_global``, the level walk (``sct.walk_levels``) of a
+set of roots through ``sct.walk_roots``, in one batch or in many
+(``parallel.count_global_parallel``). Local counts get theirs from
+``traverse``, the same front end over every root with a leaf callback,
+which ``sct.walk_root`` walks in pre-order: ``LeafBatches`` adds the
+leaves in numpy batches to flat fixed-width tables (``LocalTable``) that
+are exact by construction. Every count checks C_1 = n and C_2 = m. The
+"fast" counter mode adds a check that every count fits the signed
+64-bit range, and aborts otherwise.
 """
 
 from __future__ import annotations
@@ -498,10 +499,11 @@ def count_roots_global(orientation: DegeneracyOrientation, roots,
                        max_hold: int | None = None) -> TraversalStats:
     """Shape of the given roots' subtrees, for ``global_tables``.
 
-    ``sct.walk_roots`` without a callback: the node count and the leaf
-    histogram by (|H|, |P|) of ``traverse``'s walk restricted to
-    ``roots``. ``global_tables`` turns any number of these results, for
-    disjoint sets of roots, into counts.
+    ``sct.walk_roots`` without a callback, so the level walk
+    (``sct.walk_levels``): the node count and the leaf histogram by (|H|,
+    |P|) of ``traverse``'s tree restricted to ``roots``. ``global_tables``
+    turns any number of these results, for disjoint sets of roots, into
+    counts.
     """
     return sct.walk_roots(orientation, roots, max_hold=max_hold)
 

@@ -2,9 +2,10 @@
 
 The clique-tree children of the root are independent counting problems
 over the out-neighborhoods N+(v), so the roots can be counted in any
-split. ``counting.count_roots_global`` walks a set of roots with
-``sct.walk_roots`` and returns the shape of their subtrees, a
-``TraversalStats``: the node count and the leaves tallied by (|H|, |P|).
+split. ``counting.count_roots_global`` walks a set of roots with the
+level walk, ``sct.walk_levels``, and returns the shape of their
+subtrees, a ``TraversalStats``: the node count and the leaves tallied by
+(|H|, |P|).
 ``counting.global_tables`` adds any number of these and turns the sum
 into counts. The merge is integer addition, so the result is identical
 for any worker count and any scheduling order.

@@ -11,15 +11,18 @@ counts and the tree's shape depend only on the histogram of leaves by
 (|H|, |P|), which ``TraversalStats`` keeps.
 
 The root's children are the hold links v, one per vertex, each with the
-subproblem N+(v) given as one bitmask row per out-neighbor. ``walk_root``
-is the one pivot walker: it walks a root's subtree iteratively, storing
-only the current path and the hold children still to visit, tallies
-every leaf in the histogram and, if asked, hands it to a callback.
-``walk_roots`` is its one front end: it sets roots up in chunks, every
-root's rows built in numpy by ``_chunk_rows`` whatever its width, and
-walks them. ``traverse`` runs it over all roots in id order (local
-counts, ``materialize_sct`` and the tests), and
-``counting.count_roots_global`` over any set of roots.
+subproblem N+(v) given as one bitmask row per out-neighbor. Two walkers
+build the same tree. ``walk_root`` walks one root's subtree in pre-order,
+storing only the current path and the hold children still to visit,
+tallies every leaf in the histogram and hands leaves and nodes to
+callbacks. ``walk_levels`` walks many roots' subtrees at once, level by
+level in numpy, and only tallies. ``walk_roots`` is their one front end:
+it sets roots up in chunks, every root's rows built in numpy by
+``_chunk_rows`` whatever its width, and hands them to ``walk_root`` when
+there is a callback, else to ``walk_levels``. ``traverse`` runs it over
+all roots in id order (local counts, ``materialize_sct`` and the tests),
+and ``counting.count_roots_global`` over any set of roots, without a
+callback.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ ROOT_CHUNK_SHARE = 16
 # Bits per word of a bitmask row; a root with d out-neighbors has rows of
 # ceil(d / WORD_BITS) words.
 WORD_BITS = 64
+# A global-only walk takes the busy roots of consecutive chunks until their
+# rows come to this many words, and walks them at once (``walk_levels``).
+LEVEL_ROW_WORDS = 1 << 16
+# ``walk_levels`` walks a level in batches of nodes whose members' rows come
+# to at most LEVEL_WORDS words, counting a node's unpacked mask as 8 words
+# per word; a batch's scratch takes about 80 bytes per word. Once the next
+# level holds LEVEL_NODES nodes, it is walked before the rest of this one.
+LEVEL_WORDS = 1 << 14
+LEVEL_NODES = 1 << 14
 
 
 class PathLabels(NamedTuple):
@@ -115,10 +127,13 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     """Walk the subtrees of the given roots' hold links; return their shape.
 
     Roots are set up in chunks (``root_chunks``, ``_chunk_rows``). With a
-    callback, ``leaf`` or ``on_node`` as in ``walk_root``, every root is
-    walked, in the given order. Without one, only the roots whose
-    subproblem has an edge are walked; the others have the fixed two-level
-    tree of an edge-free subproblem and are settled in closed form, all at
+    callback, ``leaf`` or ``on_node`` as in ``walk_root``, ``walk_root``
+    walks every root, in the given order. Without one, only the roots
+    whose subproblem has an edge are walked, by ``walk_levels``: their
+    rows are kept over consecutive chunks, grouped by the number of words
+    per row, until they come to ``LEVEL_ROW_WORDS`` words, and each group
+    is then walked at once. The other roots have the fixed two-level tree
+    of an edge-free subproblem and are settled in closed form, all at
     once. The shape is the same either way.
     """
     stats = TraversalStats()
@@ -129,20 +144,34 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     out_deg = np.diff(offsets)
     roots = np.asarray(roots, dtype=np.int64)
     walk_all = leaf is not None or on_node is not None
-    # Out-degrees of the roots left to the closed form.
+    # Out-degrees of the roots left to the closed form, and the rows and
+    # out-degrees of the busy roots that wait for the level walk, by the
+    # number of words of their rows.
     settled = [out_deg[:0]]
+    waiting: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    waiting_words = 0
     for lo, hi in root_chunks(offsets, targets, out_deg, roots):
         chunk = roots[lo:hi]
         rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
         if walk_all:
-            busy[:] = True
-        settled.append(out_deg[chunk[~busy]])
-        for i in np.flatnonzero(busy).tolist():
-            v = int(chunk[i])
-            members = targets[offsets[v]:offsets[v + 1]].tolist()
-            walk_root(stats, v, members,
-                      _int_rows(rows[first[i]:first[i + 1]], len(members)),
-                      leaf, max_hold, on_node)
+            for i, v in enumerate(chunk.tolist()):
+                members = targets[offsets[v]:offsets[v + 1]].tolist()
+                walk_root(stats, v, members,
+                          _int_rows(rows[first[i]:first[i + 1]], len(members)),
+                          leaf, max_hold, on_node)
+            continue
+        sizes = out_deg[chunk]
+        settled.append(sizes[~busy])
+        words = -(-sizes // WORD_BITS)
+        for width in np.unique(words[busy]).tolist():
+            pick = busy & (words == width)
+            waiting.setdefault(width, []).append(
+                (rows[np.repeat(pick, sizes * words)], sizes[pick]))
+        waiting_words += int((sizes * words)[busy].sum())
+        if waiting_words >= LEVEL_ROW_WORDS:
+            _walk_waiting(stats, waiting, max_hold)
+            waiting_words = 0
+    _walk_waiting(stats, waiting, max_hold)
     settled = np.concatenate(settled)
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
@@ -158,6 +187,14 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
             stats.leaves[key] = stats.leaves.get(key, 0) + leaf_count
     stats.node_count += bare + 2 * edge_free + holds
     return stats
+
+
+def _walk_waiting(stats, waiting, max_hold) -> None:
+    """Level-walk the waiting roots of each row width, then forget them."""
+    for width, parts in waiting.items():
+        rows, sizes = map(np.concatenate, zip(*parts))
+        walk_levels(stats, rows.reshape(-1, width), sizes, max_hold)
+    waiting.clear()
 
 
 def walk_root(stats: TraversalStats, root: int, members: list[int],
@@ -236,8 +273,6 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
                 if holds:
                     key = len(hold) + 1, len(pivots)
                     tally[key] = count(key, 0) + holds
-                if leaf is None and on_node is None:
-                    break
                 pivots.append(members[best])
                 if on_node is not None:
                     on_node(0, members, hold, pivots)
@@ -265,6 +300,145 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
             pivots.append(members[best])
             mask = best_row
     stats.node_count += nodes
+
+
+def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
+                max_hold: int | None = None) -> None:
+    """Walk the subtrees of many roots' hold links at once, level by level.
+
+    ``sizes`` are the roots' out-degrees, all with rows of the same number
+    W of words, and ``rows`` their ``_chunk_rows`` rows, root after root,
+    one row of W words each. The walk builds the tree of ``walk_root`` and
+    adds its node count and leaf histogram to ``stats``, not its order:
+    every node is one entry of the arrays ``base`` (the row of its root's
+    first member), ``mask`` (its subproblem, W words) and ``h`` (its
+    path's hold links), and the nodes of a level share their depth h + p.
+    A level is walked in batches (``_walk_batch``) of at most
+    ``LEVEL_WORDS`` words of members' rows, and their children make the
+    next level. Once that holds ``LEVEL_NODES`` nodes, the rest of the
+    level waits on a stack and the next level is walked first, deepest
+    slice first, so a wide tree never holds a whole level.
+    """
+    width = rows.shape[1]
+    # Levels, or the rest of one, not walked yet: (depth, base, mask, h).
+    stack = [(1, np.cumsum(sizes) - sizes, _low_bits(sizes, width),
+              np.ones_like(sizes))]
+    while stack:
+        depth, base, mask, h = stack.pop()
+        cost = np.cumsum((np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
+                          + 8) * width)
+        done = 0
+        below = []
+        room = LEVEL_NODES
+        while done < len(base) and room > 0:
+            spent = cost[done - 1] if done else 0
+            stop = max(done + 1, int(np.searchsorted(cost, spent + LEVEL_WORDS,
+                                                     "right")))
+            below.append(_walk_batch(stats, rows, depth, base[done:stop],
+                                     mask[done:stop], h[done:stop], max_hold))
+            room -= len(below[-1][0])
+            done = stop
+        if done < len(base):
+            stack.append((depth, base[done:], mask[done:], h[done:]))
+        if room < LEVEL_NODES:
+            stack.append((depth + 1, *map(np.concatenate, zip(*below))))
+
+
+def _walk_batch(stats, rows, depth, base, mask, h, max_hold):
+    """Walk one batch of a level of ``walk_levels``; return its children.
+
+    Every node adds to ``stats.node_count``. An empty mask is a leaf (h,
+    depth - h). Every other node expands its members in ascending order,
+    with their degrees within it, and takes as pivot the first member of
+    maximum degree, so the lowest on ties. A node whose subproblem has no
+    edge is settled in closed form, as in ``walk_root``: the pivot leaf
+    (h, p + 1) and, below ``max_hold`` hold links, a hold leaf (h + 1, p)
+    per other member. The others' children are returned as (base, mask,
+    h): the pivot child, the pivot's neighbors in the mask, and, below
+    ``max_hold``, the hold child of each non-neighbor x of the pivot,
+    ``rows[x] & mask`` less the non-neighbors below x.
+    """
+    width = rows.shape[1]
+    stats.node_count += len(base)
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        _tally(stats.leaves, depth, h[empty])
+        live = ~empty
+        base, mask, h = base[live], mask[live], h[live]
+        if not len(base):
+            return base, mask, h
+    # Every member of every node, node by node, ascending.
+    span = width * WORD_BITS
+    found = np.flatnonzero(np.unpackbits(
+        mask.astype("<u8", copy=False).view(np.uint8), axis=1,
+        bitorder="little").view(bool))
+    node = found // span
+    bit = found - node * span
+    del found
+    at = base[node]
+    at += bit
+    adjacent = rows[at]
+    del at
+    adjacent &= mask[node]
+    # The first member of maximum degree has the largest key degree * 2^32
+    # - index, members indexed in batch order.
+    key = np.bitwise_count(adjacent).sum(axis=1, dtype=np.int64)
+    key <<= 32
+    key -= np.arange(len(node))
+    first = np.flatnonzero(np.diff(node, prepend=-1))
+    key = np.maximum.reduceat(key, first)
+    top = -(-key >> 32)
+    pivot = (top << 32) - key
+    pivot_row = adjacent[pivot]
+    may_hold = (np.ones(len(h), dtype=bool) if max_hold is None
+                else h < max_hold)
+    free = top == 0
+    if free.any():
+        holds = np.where(may_hold[free], np.diff(first, append=len(node))[free]
+                         - 1, 0)
+        _tally(stats.leaves, depth + 1, h[free])
+        _tally(stats.leaves, depth + 1, h[free] + 1, holds)
+        stats.node_count += int(np.count_nonzero(free)) + int(holds.sum())
+    busy = ~free
+    # The pivot's non-neighbors, each but the pivot a hold child.
+    apart = mask & ~pivot_row
+    word = apart[node, bit // WORD_BITS]
+    word >>= (bit % WORD_BITS).astype(np.uint64)
+    hold = (word & np.uint64(1)).astype(bool)
+    del word
+    hold &= (busy & may_hold)[node]
+    hold[pivot] = False
+    held = np.flatnonzero(hold)
+    of = node[held]
+    child = adjacent[held]
+    child &= ~(apart[of] & _low_bits(bit[held], width))
+    return (np.concatenate((base[busy], base[of])),
+            np.concatenate((pivot_row[busy], child)),
+            np.concatenate((h[busy], h[of] + 1)))
+
+
+# _LOW[f] is a word with its f lowest bits set.
+_LOW = np.array([(1 << f) - 1 for f in range(WORD_BITS + 1)], dtype=np.uint64)
+
+
+def _low_bits(n: np.ndarray, width: int) -> np.ndarray:
+    """Masks of ``width`` words, least significant first, each with the
+    ``n[i]`` lowest bits set."""
+    return _LOW[np.clip(n[:, None] - WORD_BITS * np.arange(width),
+                        0, WORD_BITS)]
+
+
+def _tally(tally: dict, depth: int, h: np.ndarray, weight=None) -> None:
+    """Add leaves of ``depth`` links, ``h`` of them hold links, to the
+    (|H|, |P|) histogram, ``weight[i]`` leaves for ``h[i]`` if given.
+
+    A weighted ``bincount`` sums in float64, which is exact here: a batch
+    of ``walk_levels`` settles far fewer than 2^53 leaves.
+    """
+    found = np.bincount(h, weight)
+    for i in np.flatnonzero(found).tolist():
+        key = i, depth - i
+        tally[key] = tally.get(key, 0) + int(found[i])
 
 
 def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
@@ -320,11 +494,12 @@ def _chunk_rows(offsets, targets, out_deg, roots):
     np.minimum(at, len(keys) - 1, out=at)
     hit = keys[at] == probe
     a, b = via[hit], at[hit]
-    rows = np.zeros(int(ends[-1]), dtype=np.uint64)
-    for x, y in ((a, b), (b, a)):
-        bit = local[y]
-        np.bitwise_or.at(rows, row[x] + bit // WORD_BITS,
-                         np.uint64(1) << (bit % WORD_BITS).astype(np.uint64))
+    # Each closed wedge sets a distinct bit: flag it, then pack the flags.
+    flags = np.zeros(int(ends[-1]) * WORD_BITS, dtype=np.uint8)
+    flags[row[a] * WORD_BITS + local[b]] = 1
+    flags[row[b] * WORD_BITS + local[a]] = 1
+    rows = np.packbits(flags, bitorder="little").view("<u8")
+    del flags
     busy = np.zeros(len(roots), dtype=bool)
     busy[root_of[a]] = True
     return rows, [0] + ends.tolist(), busy

@@ -593,6 +593,65 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             assert par.stats == stats, (seed, max_k)
 
 
+def _tripartite_graph(seed):
+    """K_{8,8,8}, its vertices numbered in a seeded random order."""
+    label = list(range(24))
+    random.Random(seed).shuffle(label)
+    return Graph.from_edges([(label[u], label[v]) for u, v in
+                             _complete_multipartite(3, 8).edges()], n=24)
+
+
+@pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph,
+                                   _multi_word_graph, _tripartite_graph])
+def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
+    # Budgets small enough that the busy roots of a few chunks make one
+    # level walk and split across several, a batch holds one node or a
+    # few, and each level but the last splits into slices, walked deepest
+    # first. The global-only walk (walk_levels) must still give the shape
+    # and counts of traverse's sink walk (walk_root).
+    from cliquecount import sct
+    monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", 128)
+    monkeypatch.setattr(sct, "ROOT_CHUNK_SHARE", 1 << 62)
+    monkeypatch.setattr(sct, "LEVEL_NODES", 1)
+    # Chunks, the depth of every batch, and where each walk's batches start.
+    chunks, depths, starts = [], [], []
+    chunk_rows, walk_levels, walk_batch = (sct._chunk_rows, sct.walk_levels,
+                                           sct._walk_batch)
+    monkeypatch.setattr(sct, "_chunk_rows", lambda *args: (
+        chunks.append(args[3]) or chunk_rows(*args)))
+    monkeypatch.setattr(sct, "walk_levels", lambda *args: (
+        starts.append(len(depths)) or walk_levels(*args)))
+    monkeypatch.setattr(sct, "_walk_batch", lambda *args: (
+        depths.append(args[2]) or walk_batch(*args)))
+    for seed in (1, 2):
+        g = build(seed)
+        o = degeneracy_orient(g)
+        # A quarter of all roots' row words; twice the largest root's cost.
+        d = o.out_degrees()
+        words = -(-d // sct.WORD_BITS)
+        monkeypatch.setattr(sct, "LEVEL_ROW_WORDS", int((d * words).sum()) // 4)
+        monkeypatch.setattr(sct, "LEVEL_WORDS", 2 * int(((d + 8) * words).max()))
+        roots = list(range(g.n))
+        random.Random(seed).shuffle(roots)
+        for max_k in (None, 1, 2, 3, 5):
+            _, counts, stats = _traverse_reference(g, o, max_k)
+            for log in (chunks, depths, starts):
+                log.clear()
+            whole = counting.count_roots_global(o, roots, max_hold=max_k)
+            assert len(chunks) > len(starts) > 1, (seed, max_k)
+            # A slice of a level is walked after a deeper level.
+            assert any(depths[i] < depths[i - 1]
+                       for i in set(range(1, len(depths))) - set(starts)), (
+                seed, max_k)
+            cut = len(roots) // 2
+            halves = [counting.count_roots_global(o, part, max_hold=max_k)
+                      for part in (roots[:cut], roots[cut:])]
+            for parts in ([whole], halves):
+                merged = counting.global_tables(g, o.alpha, parts, max_k)
+                assert merged.global_counts == counts, (seed, max_k)
+                assert merged.stats == stats, (seed, max_k)
+
+
 def _expected_rows(top, value):
     """[value(k) for k = 0..top], without trailing zeros."""
     return _strip([value(k) for k in range(top + 1)])

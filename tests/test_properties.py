@@ -4,10 +4,12 @@ import itertools
 import math
 
 import networkx as nx
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cliquecount import Graph, count, degeneracy_orient, pascal_rows, traverse
+from cliquecount import (Graph, count, degeneracy_orient, pascal_rows, sct,
+                         traverse)
 from cliquecount.counting import count_roots_global, global_tables
 
 from conftest import quadratic_peel
@@ -131,7 +133,14 @@ def test_global_engine_matches_traverse(g, rng):
     rng.shuffle(roots)
     for max_k in (None, 1, 2, 3, 5):
         raw, shape = _global_reference(g, o, max_k)
+        # The global-only engine (sct.walk_levels) against traverse's sink
+        # walk (sct.walk_root), then with every level budget at its least:
+        # a batch per node and the levels walked in slices, deepest first.
         engine = count_roots_global(o, roots, max_hold=max_k)
+        with pytest.MonkeyPatch.context() as patch:
+            for budget in ("LEVEL_ROW_WORDS", "LEVEL_WORDS", "LEVEL_NODES"):
+                patch.setattr(sct, budget, 1)
+            assert count_roots_global(o, roots, max_hold=max_k) == engine
         tables = global_tables(g, o.alpha, [engine])
         stats = tables.stats
         assert (stats.node_count, stats.leaf_count,

@@ -5,10 +5,12 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from cliquecount import (Graph, SizeLimitError, count, degeneracy_orient,
-                         enumerate_all_cliques, materialize_sct, traverse,
+from cliquecount import (Graph, SizeLimitError, TraversalStats, count,
+                         degeneracy_orient, enumerate_all_cliques,
+                         materialize_sct, sct, traverse,
                          verify_unique_representation)
 
 from conftest import (complete_graph, empty_graph, petersen_graph,
@@ -188,8 +190,7 @@ def test_truncated_leaves_are_a_subset(seed):
 
 def test_leaf_histogram_matches_the_leaves():
     # The walk tallies leaves by (|H|, |P|) whether or not a sink sees
-    # them; without one, edge-free nodes' hold leaves are tallied in one
-    # addition instead of one by one.
+    # them; with a sink walk_root walks the tree, without one walk_levels.
     for seed in range(4):
         g = random_gnp(30, 0.3, 1600 + seed)
         for max_hold in (None, 1, 2, 3):
@@ -199,6 +200,27 @@ def test_leaf_histogram_matches_the_leaves():
             assert stats.leaf_count == len(paths)
             assert stats.max_depth == max(map(sum, want), default=0)
             assert traverse(g, max_hold=max_hold) == stats, (seed, max_hold)
+
+
+def test_pivot_scan_stops_at_a_vertex_adjacent_to_all_others():
+    # Root 5's subproblem: members a < b < c < d, all adjacent but a and d.
+    # The scan meets a (degree 2), then b, adjacent to all the others: it
+    # stops there, so b is the pivot, not c, adjacent to all the others
+    # too. In the pivot child {a, c, d} it passes a (degree 1) and stops
+    # at c. The child {a, d} has no edge: pivot leaf a, hold leaf d.
+    a, b, c, d = (1 << i for i in range(4))
+    rows = [b | c, a | c | d, a | b | d, b | c]
+    leaves = []
+    stats = TraversalStats()
+    sct.walk_root(stats, 5, [10, 11, 12, 13], rows,
+                  lambda hold, pivots: leaves.append((hold[:], pivots[:])))
+    assert leaves == [([5], [11, 12, 10]), ([5, 13], [11, 12])]
+    assert stats == TraversalStats(5, {(1, 3): 1, (2, 2): 1})
+    # The level walk builds the same tree from the same rows.
+    level = TraversalStats()
+    sct.walk_levels(level, np.array(rows, dtype=np.uint64)[:, None],
+                    np.array([4]))
+    assert level == stats
 
 
 def test_truncation_to_zero_emits_nothing():
