@@ -5,6 +5,13 @@ labels, normalizes them (no self-loops, no duplicate edges, dense ids in
 first-appearance order), and stores the result as a CSR-style structure:
 an offset array plus one flat, per-vertex-sorted neighbor array. Graphs
 are immutable after construction and safe to share across workers.
+
+Every source is read into memory once as bytes and parsed by numpy with
+no Python loop over lines: in newline-aligned chunks, the whitespace that
+``str.split()`` separates on gives each label's bounds, a search over the
+newline positions gives its line, and each label becomes a key of
+space-padded 8-byte words. One sort of the keys gives the dense ids, and
+``id_map`` is built from the distinct labels alone.
 """
 
 from __future__ import annotations
@@ -18,7 +25,21 @@ from .errors import EdgeListParseError
 
 EDGE_LIST_FORMAT = "whitespace-edge-list"
 
-_COMMENT_PREFIXES = ("#", "%")
+# What str.split() separates on is, in ASCII, the bytes 9-13 and 28-32
+# (tab, newline, vertical tab, form feed, carriage return, \x1c-\x1f and
+# space), tested by two range checks. The rest are the UTF-8 encodings of
+# U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028, U+2029, U+202F, U+205F
+# and U+3000 (none lies above it); a chunk that is not ASCII has them
+# replaced by as many spaces first, so byte offsets and lines stay put.
+_WIDE_SPACES = [chr(c).encode() for c in range(128, 0x3001) if chr(c).isspace()]
+
+# Inputs are checked and keyed this many bytes at a time, rounded up to
+# the end of a line, which bounds the tokenizer's temporaries to a few MB.
+_CHUNK_BYTES = 1 << 17
+# A key word of eight spaces; _LOW_BYTES[r] keeps the first r bytes of a
+# little-endian word.
+_SPACES = np.uint64(0x2020202020202020)
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 class Graph:
@@ -135,86 +156,181 @@ def _build_csr(n, u, v):
     return offsets, neighbors
 
 
-def _decode(line: bytes, line_number: int) -> str:
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EdgeListParseError(
-            line_number, f"not valid UTF-8 (byte {line[exc.start]:#04x} "
-                         f"at column {exc.start + 1})") from None
-
-
-def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, str):
-        # Strings with a newline (and the empty string) are inline content;
-        # anything else is a file path. Canonical writer output always ends
-        # lines with a newline, so round-trips stay in the inline branch.
-        if "\n" in source or source == "":
-            yield from io.StringIO(source)
-            return
+def _read(source) -> bytes:
+    """The whole input as bytes, with every line ended by "\\n" alone."""
+    if isinstance(source, str) and "\n" not in source and source != "":
+        # A string without a newline (and not empty) is a path; canonical
+        # writer output ends every line with one, so round-trips stay
+        # inline. Files also break lines at "\r\n" and a lone "\r", as
+        # reading them in text mode does.
         if source.endswith(".gz"):
             import gzip
             opener = gzip.open
         else:
             opener = open
+        with opener(source, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return data
+    if isinstance(source, (str, bytes)):
+        data = source
+    elif hasattr(source, "read"):
+        data = source.read()
+    else:
+        data = b"".join(map(_line_bytes, source))
+    return data.encode() if isinstance(data, str) else data
+
+
+def _line_bytes(line) -> bytes:
+    line = line.encode() if isinstance(line, str) else line
+    return line if line.endswith(b"\n") else line + b"\n"
+
+
+def _label_keys(data: bytes) -> np.ndarray:
+    """Key rows of the labels of every edge line, in input order.
+
+    Row 2i holds the first label of the i-th edge line, row 2i + 1 its
+    second. The chunks' keys are widened to the widest with spaces.
+    """
+    parts = []
+    line = pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + _CHUNK_BYTES) + 1 or len(data)
+        chunk = data[pos:end]
+        parts.append(_chunk_keys(chunk, line))
+        line += chunk.count(b"\n")
+        pos = end
+    width = max((part.shape[1] for part in parts), default=1)
+    keys = np.full((sum(map(len, parts)), width), _SPACES)
+    row = 0
+    for part in parts:
+        keys[row:row + len(part), :part.shape[1]] = part
+        row += len(part)
+    return keys
+
+
+def _chunk_keys(chunk: bytes, first_line: int) -> np.ndarray:
+    """Check the lines of one newline-aligned chunk and key its labels.
+
+    ``first_line`` is the number of lines before the chunk. A label's key
+    is its bytes in little-endian 8-byte words, padded with spaces, which
+    no label contains, so equal keys mean equal labels.
+    """
+    text = chunk
+    bad_utf8 = None
+    if not chunk.isascii():
         try:
-            with opener(source, "rt", encoding="utf-8") as fh:
-                yield from fh
-        except UnicodeDecodeError:
-            # Text mode decodes in chunks and cannot tell the line; a
-            # second, binary pass finds it (lines split on b"\n", which no
-            # multi-byte UTF-8 sequence contains).
-            with opener(source, "rb") as fh:
-                for line_number, line in enumerate(fh, start=1):
-                    _decode(line, line_number)
-            raise
-        return
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    for line_number, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = _decode(line, line_number)
-        yield line
+            chunk.decode()
+        except UnicodeDecodeError as exc:
+            # A newline is never part of a multi-byte sequence, so the
+            # lines before the bad one are whole; they are checked first.
+            start = chunk.rfind(b"\n", 0, exc.start) + 1
+            bad_utf8 = EdgeListParseError(
+                first_line + chunk.count(b"\n", 0, start) + 1,
+                f"not valid UTF-8 (byte {chunk[exc.start]:#04x} "
+                f"at column {exc.start - start + 1})")
+            chunk = text = chunk[:start]
+        for space in _WIDE_SPACES:
+            if space in chunk:
+                chunk = chunk.replace(space, b" " * len(space))
+    # One space before the chunk, so that every label starts where the
+    # bytes change from whitespace to not, and eight after, which the last
+    # label's key word reads. ASCII whitespace is 9-13 and 28-32; below
+    # either bound the uint8 subtraction wraps to a large value.
+    buf = np.frombuffer(b" " + chunk + b" " * 8, dtype=np.uint8)
+    label = ((buf - 9) > 4) & ((buf - 28) > 4)
+    bounds = np.flatnonzero(label[1:] != label[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    newlines = np.flatnonzero(buf == ord("\n")) - 1
+    # Line i holds the labels at starts[edge[i]:edge[i + 1]].
+    edge = np.concatenate(([0], np.searchsorted(starts, newlines), [len(starts)]))
+    counts = np.diff(edge)
+    comment = counts > 0
+    head = buf[starts[edge[:-1][comment]] + 1]
+    comment[comment] = (head == ord("#")) | (head == ord("%"))
+    bad = np.flatnonzero((counts != 0) & (counts != 2) & ~comment)
+    if len(bad):
+        i = int(bad[0])
+        lo = int(newlines[i - 1]) + 1 if i else 0
+        hi = int(newlines[i]) if i < len(newlines) else len(text)
+        raise EdgeListParseError(
+            first_line + i + 1, f"expected 2 tokens, found {counts[i]}: "
+                                f"{text[lo:hi].decode().strip()!r}")
+    if bad_utf8 is not None:
+        raise bad_utf8
+    if comment.any():
+        keep = ~np.repeat(comment, counts)
+        starts, ends = starts[keep], ends[keep]
+    length = ends - starts
+    width = (int(length.max(initial=1)) + 7) // 8
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    keys = np.empty((len(starts), width), dtype=np.uint64)
+    for k in range(width):
+        # A label shorter than 8k + 1 bytes reads its own last word here,
+        # all of which the mask turns into spaces.
+        low = _LOW_BYTES[np.clip(length - 8 * k, 0, 8)]
+        word = words[starts + 1 + np.minimum(8 * k, length - 1)]
+        keys[:, k] = (word & low) | (_SPACES & ~low)
+    return keys
+
+
+def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key row's dense id, in order of first appearance, and the
+    distinct rows in that order.
+
+    One sort groups equal rows; a group's first appearance is the least
+    input position in it, so the sort need not be stable.
+    """
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    del ordered
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_appearance = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[by_appearance] = np.arange(len(first))
+    ids = np.empty(len(order), dtype=np.int32)
+    group = np.cumsum(new, dtype=np.int32)
+    group -= 1
+    ids[order] = rank[group]
+    return ids, keys[first[by_appearance]]
+
+
+def _labels(keys: np.ndarray) -> list[str]:
+    """The labels of distinct key rows: their bytes less the space padding."""
+    cells = keys.astype("<u8", copy=False).view(np.uint8)
+    cells = np.pad(cells, ((0, 0), (0, 1)), constant_values=ord(" "))
+    return cells.tobytes().decode().split()
 
 
 def load_edge_list(source, fmt: str = EDGE_LIST_FORMAT) -> Graph:
     """Load and normalize a whitespace edge list.
 
-    ``source`` may be a file path, inline text containing newlines, a byte
-    string, an open text/binary stream, or any iterable of lines. Lines
-    starting with '#' or '%' are comments; every other non-blank line must
-    hold exactly two whitespace-separated labels. Labels are mapped to
-    dense ids in first-appearance order; self-loops are dropped and
-    parallel or reversed duplicates collapsed.
+    ``source`` may be a file path (``.gz`` read through gzip), inline text
+    containing newlines, a byte string, an open text or binary stream
+    (such as ``sys.stdin.buffer``), or any iterable of lines, each with or
+    without its "\\n". The input is read into memory once, as bytes, and
+    must be UTF-8. Files break lines at "\\n", "\\r\\n" and a lone
+    "\\r"; every other source at "\\n" alone, so that a "\\r" there
+    separates labels. Labels are separated by the whitespace that
+    ``str.split()`` splits on, non-ASCII spaces such as U+00A0 included.
+    Lines whose first label starts with '#' or '%' are comments; every
+    other non-blank line must hold exactly two labels, or
+    ``EdgeListParseError`` names the first line that does not (or is not
+    UTF-8). Labels are mapped to dense ids in first-appearance order;
+    self-loops are dropped and parallel or reversed duplicates collapsed.
     """
     if fmt != EDGE_LIST_FORMAT:
         raise ValueError(f"unsupported edge-list format: {fmt!r}")
-    id_map: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    next_id = 0
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line[0] in _COMMENT_PREFIXES:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                line_number, f"expected 2 tokens, found {len(tokens)}: {line!r}")
-        a, b = tokens
-        ia = id_map.get(a)
-        if ia is None:
-            ia = id_map[a] = next_id
-            next_id += 1
-        ib = id_map.get(b)
-        if ib is None:
-            ib = id_map[b] = next_id
-            next_id += 1
-        us.append(ia)
-        vs.append(ib)
-    n = next_id
-    offsets, neighbors = _build_csr(
-        n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+    keys = _label_keys(_read(source))
+    ids, distinct = _dense_ids(keys)
+    del keys
+    n = len(distinct)
+    offsets, neighbors = _build_csr(n, ids[0::2], ids[1::2])
+    del ids
+    id_map = dict(zip(_labels(distinct), range(n)))
     return Graph(n, offsets, neighbors, id_map=id_map)
 
 

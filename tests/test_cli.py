@@ -121,11 +121,11 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, stdin=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "cliquecount.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          input=stdin, capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("case,reason", [
@@ -147,6 +147,18 @@ def test_input_file_errors_are_one_line(tmp_path, case, reason):
     assert lines[0].startswith("error: ") and reason in lines[0]
     if case != "not-utf8":
         assert lines[0] == f"error: {path}: {reason}"
+
+
+@pytest.mark.parametrize("stdin,line", [
+    ("0 1\n1 2\n2 3 4\n", "error: line 3: expected 2 tokens, found 3: '2 3 4'"),
+    ("0 1\r\n1\r\n", "error: line 2: expected 2 tokens, found 1: '1'"),
+    ("0 1\nlast", "error: line 2: expected 2 tokens, found 1: 'last'"),
+])
+def test_malformed_stdin_is_one_line(stdin, line):
+    result = run_cli_process("count", "-", stdin=stdin)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
 
 
 def test_output_file_errors_are_one_line(tmp_path, triangle_file):
