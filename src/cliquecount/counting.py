@@ -6,16 +6,16 @@ size |H| + i for each i, and membership of a vertex or edge in H versus P
 decides which binomial row applies. Global counts depend only on the
 walker's histogram of leaves by (|H|, |P|) (``TraversalStats.leaves``),
 and ``global_tables`` is the one place that turns histograms into exact
-Python-integer counts, for every count. Global-only counts get theirs
-from ``count_roots_global``, the level walk (``sct.walk_levels``) of a
-set of roots through ``sct.walk_roots``, in one batch or in many
-(``parallel.count_global_parallel``). Local counts get theirs from
-``traverse``, the same front end over every root with a leaf callback,
-which ``sct.walk_root`` walks in pre-order: ``LeafBatches`` adds the
-leaves in numpy batches to flat fixed-width tables (``LocalTable``) that
-are exact by construction. Every count checks C_1 = n and C_2 = m. The
-"fast" counter mode adds a check that every count fits the signed
-64-bit range, and aborts otherwise.
+Python-integer counts, for every count. Every count runs the level walk
+(``sct.walk_levels``) through ``sct.walk_roots``. Global-only counts get
+their histograms from ``count_roots_global``, over a set of roots, in
+one batch or in many (``parallel.count_global_parallel``). Local counts
+get theirs from ``traverse`` over every root, which also hands every
+leaf to ``LeafBatches``, in batches of arrays: it adds them in numpy to
+flat fixed-width tables (``LocalTable``) that are exact by construction.
+Every count checks C_1 = n and C_2 = m. The "fast" counter mode adds a
+check that every count fits the signed 64-bit range, and aborts
+otherwise.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ log = logging.getLogger(__name__)
 # Envelope of the fixed-width counter mode (signed 64-bit range).
 FAST_COUNTER_MAX = 2 ** 63 - 1
 
-# Buffered leaves are added to the local tables once they hold this many
-# incidences (vertices plus vertex pairs). A batch's scratch arrays take
-# about 150 bytes per incidence; the limb planes' headroom (see LocalTable)
-# needs batches far below CARRY_AFTER.
+# The walk's leaves are added to the local tables in slices of at most this
+# many incidences (vertices plus vertex pairs). A slice's scratch arrays
+# take about 150 bytes per incidence; the limb planes' headroom (see
+# LocalTable) needs slices far below CARRY_AFTER.
 LEAF_BATCH = 1 << 14
 # Limb width of the planes that hold wide local rows.
 LIMB_BITS = 31
@@ -90,7 +90,7 @@ class LocalTable:
     last carry, ``add`` brings every plane but the top one back below
     2^LIMB_BITS, and the top one holds at most LIMB_BITS bits of a final
     count. So no plane entry reaches 2^LIMB_BITS times (1 + CARRY_AFTER +
-    the incidences of one batch), below 2^62. Reads combine the planes
+    the incidences of one slice), below 2^62. Reads combine the planes
     into Python integers exactly whether or not they were carried.
     """
 
@@ -380,14 +380,17 @@ def _strip(row: list[int]) -> list[int]:
 
 
 class LeafBatches:
-    """A ``traverse`` sink that adds leaves to CountTables in batches.
+    """The leaf sink of a local count: adds leaves to CountTables.
 
-    Each leaf's |H|, |P| and vertex ids (hold first) go to flat buffers.
-    Once they hold ``LEAF_BATCH`` incidences, and once more when ``flush``
-    is called after the walk, ``accumulate_leaf`` adds the batch in numpy.
-    With h = |H| and p = |P|, a leaf adds C(p, i) to the global count
-    C_{h+i} for 0 <= i <= p (``global_tables`` adds these from the walk's
-    histogram), and to the local tables:
+    ``traverse(..., batches=LeafBatches(...))`` hands it every leaf of the
+    level walk, a batch of arrays at a time (``add``): each leaf's root,
+    and its hold and pivot links as bits over the root's out-neighbors.
+    It turns the bits into vertex ids through the orientation's out-CSR,
+    and ``accumulate_leaf`` adds the leaves in numpy, in slices of at most
+    ``LEAF_BATCH`` incidences (vertices plus vertex pairs; one leaf may
+    pass it alone). With h = |H| and p = |P|, a leaf adds C(p, i) to the
+    global count C_{h+i} for 0 <= i <= p (``global_tables`` adds these
+    from the walk's histogram), and to the local tables:
 
       vertex v in hold:   c_{h+i}(v)   += C(p, i)    for 0 <= i <= p
       vertex v in pivots: c_{h+i+1}(v) += C(p-1, i)  for 0 <= i <= p-1
@@ -396,7 +399,7 @@ class LeafBatches:
       edge within pivots: c_{h+i+2}(e) += C(p-2, i)  for 0 <= i <= p-2
 
     So a vertex or edge with r of its vertices among the pivots adds
-    C(p - r, ·) from k = h + r. A batch tallies these incidences by
+    C(p - r, ·) from k = h + r. A slice tallies these incidences by
     (entity, h + r, p - r) and adds each distinct one's binomial row,
     times its tally, in one indexed addition per (h + r, p - r). Vertex
     pairs come from ``triu_indices`` per leaf size, and edge ids from a
@@ -404,9 +407,13 @@ class LeafBatches:
     increments beyond it.
     """
 
-    def __init__(self, tables: CountTables, alpha: int,
+    def __init__(self, tables: CountTables,
+                 orientation: DegeneracyOrientation,
                  max_k: int | None = None):
+        alpha = orientation.alpha
         self.tables = tables
+        self.offsets = orientation.out_offsets
+        self.targets = orientation.out_targets
         self.top = alpha + 1 if max_k is None else max_k
         self.rows = pascal_rows(alpha + 1)
         span = alpha + 2
@@ -417,10 +424,6 @@ class LeafBatches:
                                                          tables.per_edge)
                              if t is not None), default=0)
         self.limb_rows: dict[int, np.ndarray] = {}
-        self.h: list[int] = []
-        self.p: list[int] = []
-        self.ids: list[int] = []
-        self.pending = 0
 
     def limbs(self, w: int) -> np.ndarray:
         """C(w, .) as ``LIMB_BITS``-bit limbs, one row per plane."""
@@ -432,24 +435,38 @@ class LeafBatches:
                  for i in range(self.n_planes)], dtype=np.int64)
         return limbs
 
-    def __call__(self, hold, pivots) -> None:
-        self.h.append(len(hold))
-        self.p.append(len(pivots))
-        self.ids += hold
-        self.ids += pivots
-        s = len(hold) + len(pivots)
-        self.pending += s * (s + 1) // 2
-        if self.pending >= LEAF_BATCH:
-            self.flush()
+    def add(self, roots: np.ndarray, hold: np.ndarray,
+            pivots: np.ndarray) -> None:
+        """Add leaves to the tables, as ``sct.walk_roots`` hands them over.
 
-    def flush(self) -> None:
-        """Add the buffered leaves to the tables."""
-        if not self.h:
-            return
-        h, p, ids = (np.array(x, dtype=np.int64)
-                     for x in (self.h, self.p, self.ids))
-        self.h, self.p, self.ids, self.pending = [], [], [], 0
-        accumulate_leaf(self, h, p, ids)
+        Leaf i holds ``roots[i]`` and the out-neighbors of it marked in
+        ``hold[i]``, and its pivots are those marked in ``pivots[i]``: bit
+        j of word j // ``WORD_BITS`` marks the j-th out-neighbor in
+        ascending order.
+        """
+        span = hold.shape[1] * sct.WORD_BITS
+        h = np.bitwise_count(hold).sum(axis=1, dtype=np.int64) + 1
+        p = np.bitwise_count(pivots).sum(axis=1, dtype=np.int64)
+        size = h + p
+        end = np.cumsum(size)
+        start = end - size
+        # Leaf after leaf: its root, its other hold vertices, its pivots.
+        found = np.flatnonzero(np.unpackbits(np.concatenate(
+            (hold, pivots), axis=1).astype("<u8", copy=False).view(np.uint8),
+            bitorder="little"))
+        members = self.targets[self.offsets[roots][found // (2 * span)]
+                               + found % span]
+        ids = np.insert(members.astype(np.int64), start - np.arange(len(h)),
+                        roots)
+        cost = np.cumsum(size * (size + 1) // 2)
+        lo = 0
+        while lo < len(cost):
+            spent = cost[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cost, spent + LEAF_BATCH,
+                                                 "right")))
+            accumulate_leaf(self, h[lo:hi], p[lo:hi],
+                            ids[start[lo]:end[hi - 1]])
+            lo = hi
 
 
 def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
@@ -572,9 +589,8 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
                         "ignoring threads=%d", threads)
         tables = CountTables(graph, *local_tables(orientation, max_k,
                                                   per_vertex, per_edge))
-        sink = LeafBatches(tables, orientation.alpha, max_k)
-        stats = traverse(graph, orientation, sink, max_hold=max_k)
-        sink.flush()
+        stats = traverse(graph, orientation, max_hold=max_k,
+                         batches=LeafBatches(tables, orientation, max_k))
         tables = global_tables(graph, orientation.alpha, [stats], max_k,
                                tables)
     else:

@@ -123,9 +123,9 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
 
     # Orient edges toward higher rank; CSR rows are id-sorted already, so
     # filtering preserves the ascending order the traversal relies on.
-    rank_arr = np.asarray(rank, dtype=np.int64)
+    rank_arr = np.asarray(rank, dtype=np.int32)
     if len(neighbors):
-        row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
         keep = rank_arr[neighbors] > rank_arr[row_of]
         out_targets = np.ascontiguousarray(neighbors[keep])
         counts = np.bincount(row_of[keep], minlength=n)

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import EdgeListParseError
 
-EDGE_LIST_FORMAT = "whitespace-edge-list"
-
 # What str.split() separates on is, in ASCII, the bytes 9-13 and 28-32
 # (tab, newline, vertical tab, form feed, carriage return, \x1c-\x1f and
 # space), tested by two range checks. The rest are the UTF-8 encodings of
@@ -305,7 +303,7 @@ def _labels(keys: np.ndarray) -> list[str]:
     return cells.tobytes().decode().split()
 
 
-def load_edge_list(source, fmt: str = EDGE_LIST_FORMAT) -> Graph:
+def load_edge_list(source) -> Graph:
     """Load and normalize a whitespace edge list.
 
     ``source`` may be a file path (``.gz`` read through gzip), inline text
@@ -322,8 +320,6 @@ def load_edge_list(source, fmt: str = EDGE_LIST_FORMAT) -> Graph:
     UTF-8). Labels are mapped to dense ids in first-appearance order;
     self-loops are dropped and parallel or reversed duplicates collapsed.
     """
-    if fmt != EDGE_LIST_FORMAT:
-        raise ValueError(f"unsupported edge-list format: {fmt!r}")
     keys = _label_keys(_read(source))
     ids, distinct = _dense_ids(keys)
     del keys

@@ -12,17 +12,18 @@ counts and the tree's shape depend only on the histogram of leaves by
 
 The root's children are the hold links v, one per vertex, each with the
 subproblem N+(v) given as one bitmask row per out-neighbor. Two walkers
-build the same tree. ``walk_root`` walks one root's subtree in pre-order,
-storing only the current path and the hold children still to visit,
-tallies every leaf in the histogram and hands leaves and nodes to
-callbacks. ``walk_levels`` walks many roots' subtrees at once, level by
-level in numpy, and only tallies. ``walk_roots`` is their one front end:
-it sets roots up in chunks, every root's rows built in numpy by
-``_chunk_rows`` whatever its width, and hands them to ``walk_root`` when
-there is a callback, else to ``walk_levels``. ``traverse`` runs it over
-all roots in id order (local counts, ``materialize_sct`` and the tests),
-and ``counting.count_roots_global`` over any set of roots, without a
-callback.
+build the same tree. ``walk_levels``, the engine of every count, walks
+many roots' subtrees at once, level by level in numpy: it tallies the
+leaves and, given a sink, hands them over in batches, each leaf as its
+root and its hold and pivot links as bits over the root's out-neighbors.
+``walk_root`` is the reference walker: it walks one root's subtree in
+pre-order, storing only the current path, and calls back at every node
+(``traverse``'s per-leaf sink, ``materialize_sct`` and the tests).
+``walk_roots`` is their one front end: it sets roots up in chunks, every
+root's rows built in numpy by ``_chunk_rows`` whatever its width, hands
+them to one walker or the other, and settles the edge-free roots of a
+global-only count in closed form. ``traverse`` runs it over all roots in
+id order, and ``counting.count_roots_global`` over any set of roots.
 """
 
 from __future__ import annotations
@@ -90,51 +91,50 @@ class TraversalStats:
 def traverse(graph: Graph,
              orientation: DegeneracyOrientation | None = None,
              sink: Callable[[list, list], None] | None = None,
-             max_hold: int | None = None, *,
-             _on_node=None) -> TraversalStats:
-    """Depth-first walk of the clique tree, storing only the current path.
+             max_hold: int | None = None, *, batches=None) -> TraversalStats:
+    """Walk the clique tree below every root, roots in id order.
 
     Every vertex v is a hold link at the root, with the subproblem induced
     on the out-neighborhood of v; ``walk_roots`` walks each one's
-    subtree, roots in id order. Children are created even when their
-    label is empty; every empty subproblem is a leaf, tallied in the
-    returned stats, and fires ``sink(hold, pivots)`` if a sink is given,
-    leaves in the order of a recursive pre-order walk: at each node the
-    pivot child's subtree, then the hold children's by ascending id.
+    subtree. Children are created even when their label is empty; every
+    empty subproblem is a leaf, tallied in the returned stats. With
+    ``max_hold`` set, branches whose hold count would exceed it are
+    pruned, which preserves all leaves with at most ``max_hold`` hold
+    vertices.
 
-    The sink receives the live path lists; they are only valid during the
-    call, so copy them if you keep them. With ``max_hold`` set, branches
-    whose hold count would exceed it are pruned, which preserves all
-    leaves with at most ``max_hold`` hold vertices.
-
-    ``_on_node(mask, members, hold, pivots)``, if given, is called at every
-    node below the root before its children: the node's label is the set
-    bits of ``mask`` mapped through ``members``, and the live path lists
-    end with the node's link. ``materialize_sct`` records the tree this way.
-
-    The walk is iterative, so the depth of the tree (up to alpha + 1
-    links) is not bounded by the interpreter's recursion limit.
+    ``batches`` (``counting.LeafBatches``), if given, receives every leaf
+    of the level walk, in batches of arrays (``walk_roots``). A
+    ``sink(hold, pivots)``, if given instead, fires at every leaf of the
+    reference walker, ``walk_root``, in pre-order: at each node the pivot
+    child's subtree, then the hold children's by ascending id. It gets
+    the live path lists, only valid during the call.
     """
     if orientation is None:
         orientation = degeneracy_orient(graph)
-    return walk_roots(orientation, np.arange(graph.n), sink, max_hold,
-                      _on_node)
+
+    def on_node(mask, members, hold, pivots):
+        if not mask:
+            sink(hold, pivots)
+    return walk_roots(orientation, np.arange(graph.n), max_hold,
+                      None if sink is None else on_node, batches)
 
 
 def walk_roots(orientation: DegeneracyOrientation, roots,
-               leaf: Callable[[list, list], None] | None = None,
-               max_hold: int | None = None, on_node=None) -> TraversalStats:
+               max_hold: int | None = None, on_node=None,
+               batches=None) -> TraversalStats:
     """Walk the subtrees of the given roots' hold links; return their shape.
 
-    Roots are set up in chunks (``root_chunks``, ``_chunk_rows``). With a
-    callback, ``leaf`` or ``on_node`` as in ``walk_root``, ``walk_root``
-    walks every root, in the given order. Without one, only the roots
-    whose subproblem has an edge are walked, by ``walk_levels``: their
-    rows are kept over consecutive chunks, grouped by the number of words
-    per row, until they come to ``LEVEL_ROW_WORDS`` words, and each group
-    is then walked at once. The other roots have the fixed two-level tree
-    of an edge-free subproblem and are settled in closed form, all at
-    once. The shape is the same either way.
+    Roots are set up in chunks (``root_chunks``, ``_chunk_rows``). With
+    ``on_node``, ``walk_root`` walks every root, in the given order, and
+    calls it as there. Otherwise ``walk_levels`` walks them: their rows
+    are kept over consecutive chunks, grouped by the number of words per
+    row, until they come to ``LEVEL_ROW_WORDS`` words, and each group is
+    then walked at once. With ``batches``, every root is walked, and
+    each batch of leaves goes to ``batches.add(roots, hold, pivots)``
+    (``counting.LeafBatches``). Without, only the roots whose subproblem
+    has an edge are walked. The others have the fixed two-level tree of
+    an edge-free subproblem and are settled in closed form, all at once.
+    The shape is the same either way.
     """
     stats = TraversalStats()
     if max_hold is not None and max_hold < 1:
@@ -143,35 +143,38 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
     roots = np.asarray(roots, dtype=np.int64)
-    walk_all = leaf is not None or on_node is not None
-    # Out-degrees of the roots left to the closed form, and the rows and
-    # out-degrees of the busy roots that wait for the level walk, by the
-    # number of words of their rows.
+    # Out-degrees of the roots left to the closed form, and the rows,
+    # out-degrees and ids of the roots that wait for the level walk, by
+    # the number of words of their rows (one word for a root without
+    # out-neighbors).
     settled = [out_deg[:0]]
-    waiting: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    waiting: dict[int, list[tuple[np.ndarray, ...]]] = {}
     waiting_words = 0
     for lo, hi in root_chunks(offsets, targets, out_deg, roots):
         chunk = roots[lo:hi]
         rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
-        if walk_all:
+        if on_node is not None:
             for i, v in enumerate(chunk.tolist()):
                 members = targets[offsets[v]:offsets[v + 1]].tolist()
                 walk_root(stats, v, members,
                           _int_rows(rows[first[i]:first[i + 1]], len(members)),
-                          leaf, max_hold, on_node)
+                          max_hold, on_node)
             continue
+        if batches is not None:
+            busy[:] = True
         sizes = out_deg[chunk]
         settled.append(sizes[~busy])
-        words = -(-sizes // WORD_BITS)
+        words = np.maximum(-(-sizes // WORD_BITS), 1)
         for width in np.unique(words[busy]).tolist():
             pick = busy & (words == width)
             waiting.setdefault(width, []).append(
-                (rows[np.repeat(pick, sizes * words)], sizes[pick]))
+                (rows[np.repeat(pick, sizes * words)], sizes[pick],
+                 chunk[pick]))
         waiting_words += int((sizes * words)[busy].sum())
         if waiting_words >= LEVEL_ROW_WORDS:
-            _walk_waiting(stats, waiting, max_hold)
+            _walk_waiting(stats, waiting, max_hold, batches)
             waiting_words = 0
-    _walk_waiting(stats, waiting, max_hold)
+    _walk_waiting(stats, waiting, max_hold, batches)
     settled = np.concatenate(settled)
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
@@ -189,26 +192,32 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     return stats
 
 
-def _walk_waiting(stats, waiting, max_hold) -> None:
+def _walk_waiting(stats, waiting, max_hold, batches) -> None:
     """Level-walk the waiting roots of each row width, then forget them."""
     for width, parts in waiting.items():
-        rows, sizes = map(np.concatenate, zip(*parts))
-        walk_levels(stats, rows.reshape(-1, width), sizes, max_hold)
+        rows, sizes, roots = map(np.concatenate, zip(*parts))
+        sink = None if batches is None else (
+            lambda at, hold, pivots: batches.add(roots[at], hold, pivots))
+        walk_levels(stats, rows.reshape(-1, width), sizes, max_hold, sink)
     waiting.clear()
 
 
 def walk_root(stats: TraversalStats, root: int, members: list[int],
-              rows: list[int], leaf: Callable[[list, list], None] | None = None,
-              max_hold: int | None = None, on_node=None) -> None:
+              rows: list[int], max_hold: int | None = None,
+              on_node=None) -> None:
     """Walk the subtree of root's hold link, adding its shape to ``stats``.
 
+    The reference walker, for ``traverse``'s per-leaf sink,
+    ``materialize_sct`` and the tests; counts run ``walk_levels``.
     ``members`` are root's out-neighbors in ascending id order, and
     ``rows[i]`` has bit j set where ``members[i]`` and ``members[j]`` are
     adjacent. The walk is pre-order and keeps the path as two live lists of
     vertex ids, ``hold`` (root first) and ``pivots``. Every node adds to
-    ``stats.node_count`` and every leaf to ``stats.leaves``; ``leaf(hold,
-    pivots)``, if given, fires at every leaf and ``on_node(mask, members,
-    hold, pivots)`` at every node, as in ``traverse``.
+    ``stats.node_count`` and every leaf, a node whose subproblem ``mask``
+    is empty, to ``stats.leaves``. ``on_node(mask, members, hold,
+    pivots)``, if given, fires at every node: its label is the set bits
+    of ``mask`` mapped through ``members``, and the live path lists end
+    with its link.
 
     At a node with subproblem ``mask`` the pivot is the vertex of maximum
     degree within it, lowest id on ties. The scan stops at the first vertex
@@ -219,10 +228,7 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
     subproblem N(x) & ``mask`` less the earlier non-neighbors; these wait
     on a stack, pushed in descending order so that they pop in ascending
     order. Hold children are not created once the path holds ``max_hold``
-    hold vertices. A node whose subproblem has no edge is settled in
-    closed form: its lowest vertex is the pivot leaf and each other vertex
-    a hold leaf, in ascending order, all tallied with one addition. Only
-    the callbacks visit those hold leaves one by one.
+    hold vertices.
     """
     hold: list[int] = []
     pivots: list[int] = []
@@ -247,8 +253,6 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
             if not mask:
                 key = len(hold), len(pivots)
                 tally[key] = count(key, 0) + 1
-                if leaf is not None:
-                    leaf(hold, pivots)
                 break
             full = mask.bit_count() - 1
             m = mask
@@ -263,32 +267,6 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
                     if d == full:
                         break
                 m ^= low
-            if not best_deg:
-                # No edge: the pivot leaf, then a hold leaf per other vertex.
-                key = len(hold), len(pivots) + 1
-                tally[key] = count(key, 0) + 1
-                m = mask ^ (1 << best) if may_hold else 0
-                holds = m.bit_count()
-                nodes += 1 + holds
-                if holds:
-                    key = len(hold) + 1, len(pivots)
-                    tally[key] = count(key, 0) + holds
-                pivots.append(members[best])
-                if on_node is not None:
-                    on_node(0, members, hold, pivots)
-                if leaf is not None:
-                    leaf(hold, pivots)
-                pivots.pop()
-                while m:
-                    low = m & -m
-                    hold.append(members[low.bit_length() - 1])
-                    if on_node is not None:
-                        on_node(0, members, hold, pivots)
-                    if leaf is not None:
-                        leaf(hold, pivots)
-                    hold.pop()
-                    m ^= low
-                break
             if may_hold and best_deg < full:
                 h = len(hold)
                 p = len(pivots)
@@ -303,70 +281,80 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
 
 
 def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
-                max_hold: int | None = None) -> None:
+                max_hold: int | None = None, sink=None) -> None:
     """Walk the subtrees of many roots' hold links at once, level by level.
 
     ``sizes`` are the roots' out-degrees, all with rows of the same number
     W of words, and ``rows`` their ``_chunk_rows`` rows, root after root,
     one row of W words each. The walk builds the tree of ``walk_root`` and
     adds its node count and leaf histogram to ``stats``, not its order:
-    every node is one entry of the arrays ``base`` (the row of its root's
-    first member), ``mask`` (its subproblem, W words) and ``h`` (its
-    path's hold links), and the nodes of a level share their depth h + p.
-    A level is walked in batches (``_walk_batch``) of at most
-    ``LEVEL_WORDS`` words of members' rows, and their children make the
-    next level. Once that holds ``LEVEL_NODES`` nodes, the rest of the
-    level waits on a stack and the next level is walked first, deepest
-    slice first, so a wide tree never holds a whole level.
+    every node is one entry of the arrays ``root`` (its root's position in
+    ``sizes``), ``mask`` (its subproblem, W words) and ``h`` (its path's
+    hold links), and the nodes of a level share their depth h + p. With
+    ``sink``, nodes also carry the hold and the pivot links of their path
+    below the root, as bits over the root's members (W words each), and
+    ``sink(root, hold, pivots)`` receives each batch's leaves. A level is
+    walked in batches (``_walk_batch``) of at most ``LEVEL_WORDS`` words
+    of members' rows, and their children make the next level. Once that
+    holds ``LEVEL_NODES`` nodes, the rest of the level waits on a stack
+    and the next level is walked first, deepest slice first, so a wide
+    tree never holds a whole level.
     """
     width = rows.shape[1]
-    # Levels, or the rest of one, not walked yet: (depth, base, mask, h).
-    stack = [(1, np.cumsum(sizes) - sizes, _low_bits(sizes, width),
-              np.ones_like(sizes))]
+    first = np.cumsum(sizes) - sizes
+    nodes = [np.arange(len(sizes)), _low_bits(sizes, width),
+             np.ones_like(sizes)]
+    if sink is not None:
+        nodes += list(np.zeros((2, len(sizes), width), dtype=np.uint64))
+    # Levels, or the rest of one, not walked yet: (depth, nodes).
+    stack = [(1, nodes)]
     while stack:
-        depth, base, mask, h = stack.pop()
-        cost = np.cumsum((np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
-                          + 8) * width)
+        depth, nodes = stack.pop()
+        members = np.bitwise_count(nodes[1]).sum(axis=1, dtype=np.int64)
+        cost = np.cumsum((members + 8) * width)
         done = 0
         below = []
         room = LEVEL_NODES
-        while done < len(base) and room > 0:
+        while done < len(cost) and room > 0:
             spent = cost[done - 1] if done else 0
             stop = max(done + 1, int(np.searchsorted(cost, spent + LEVEL_WORDS,
                                                      "right")))
-            below.append(_walk_batch(stats, rows, depth, base[done:stop],
-                                     mask[done:stop], h[done:stop], max_hold))
+            below.append(_walk_batch(stats, rows, depth,
+                                     [x[done:stop] for x in nodes], first,
+                                     max_hold, sink))
             room -= len(below[-1][0])
             done = stop
-        if done < len(base):
-            stack.append((depth, base[done:], mask[done:], h[done:]))
+        if done < len(cost):
+            stack.append((depth, [x[done:] for x in nodes]))
         if room < LEVEL_NODES:
-            stack.append((depth + 1, *map(np.concatenate, zip(*below))))
+            stack.append((depth + 1, [np.concatenate(x) for x in zip(*below)]))
 
 
-def _walk_batch(stats, rows, depth, base, mask, h, max_hold):
+def _walk_batch(stats, rows, depth, nodes, first, max_hold, sink):
     """Walk one batch of a level of ``walk_levels``; return its children.
 
-    Every node adds to ``stats.node_count``. An empty mask is a leaf (h,
-    depth - h). Every other node expands its members in ascending order,
-    with their degrees within it, and takes as pivot the first member of
-    maximum degree, so the lowest on ties. A node whose subproblem has no
-    edge is settled in closed form, as in ``walk_root``: the pivot leaf
-    (h, p + 1) and, below ``max_hold`` hold links, a hold leaf (h + 1, p)
-    per other member. The others' children are returned as (base, mask,
-    h): the pivot child, the pivot's neighbors in the mask, and, below
-    ``max_hold``, the hold child of each non-neighbor x of the pivot,
-    ``rows[x] & mask`` less the non-neighbors below x.
+    ``nodes`` are the batch's node arrays and ``first`` the row of each
+    root's first member. Every node adds to ``stats.node_count``. An
+    empty mask is a leaf (h, depth - h), handed to ``sink`` if given.
+    Every other node expands its members in ascending order, with their
+    degrees within it, and takes as pivot the first member of maximum
+    degree, so the lowest on ties. Its children are returned as node
+    arrays: the pivot child, the pivot's neighbors in the mask, and,
+    below ``max_hold``, the hold child of each non-neighbor x of the
+    pivot, ``rows[x] & mask`` less the non-neighbors below x. The
+    children of a node without an edge thus have empty masks.
     """
     width = rows.shape[1]
-    stats.node_count += len(base)
-    empty = ~mask.any(axis=1)
+    stats.node_count += len(nodes[0])
+    empty = ~nodes[1].any(axis=1)
     if empty.any():
-        _tally(stats.leaves, depth, h[empty])
-        live = ~empty
-        base, mask, h = base[live], mask[live], h[live]
-        if not len(base):
-            return base, mask, h
+        _tally(stats.leaves, depth, nodes[2][empty])
+        if sink is not None:
+            sink(nodes[0][empty], nodes[3][empty], nodes[4][empty])
+        nodes = [x[~empty] for x in nodes]
+    root, mask, h = nodes[:3]
+    if not len(root):
+        return nodes
     # Every member of every node, node by node, ascending.
     span = width * WORD_BITS
     found = np.flatnonzero(np.unpackbits(
@@ -375,7 +363,7 @@ def _walk_batch(stats, rows, depth, base, mask, h, max_hold):
     node = found // span
     bit = found - node * span
     del found
-    at = base[node]
+    at = first[root[node]]
     at += bit
     adjacent = rows[at]
     del at
@@ -385,36 +373,33 @@ def _walk_batch(stats, rows, depth, base, mask, h, max_hold):
     key = np.bitwise_count(adjacent).sum(axis=1, dtype=np.int64)
     key <<= 32
     key -= np.arange(len(node))
-    first = np.flatnonzero(np.diff(node, prepend=-1))
-    key = np.maximum.reduceat(key, first)
+    key = np.maximum.reduceat(key, np.flatnonzero(np.diff(node, prepend=-1)))
     top = -(-key >> 32)
     pivot = (top << 32) - key
     pivot_row = adjacent[pivot]
-    may_hold = (np.ones(len(h), dtype=bool) if max_hold is None
-                else h < max_hold)
-    free = top == 0
-    if free.any():
-        holds = np.where(may_hold[free], np.diff(first, append=len(node))[free]
-                         - 1, 0)
-        _tally(stats.leaves, depth + 1, h[free])
-        _tally(stats.leaves, depth + 1, h[free] + 1, holds)
-        stats.node_count += int(np.count_nonzero(free)) + int(holds.sum())
-    busy = ~free
     # The pivot's non-neighbors, each but the pivot a hold child.
     apart = mask & ~pivot_row
     word = apart[node, bit // WORD_BITS]
     word >>= (bit % WORD_BITS).astype(np.uint64)
     hold = (word & np.uint64(1)).astype(bool)
     del word
-    hold &= (busy & may_hold)[node]
+    if max_hold is not None:
+        hold &= (h < max_hold)[node]
     hold[pivot] = False
     held = np.flatnonzero(hold)
     of = node[held]
     child = adjacent[held]
     child &= ~(apart[of] & _low_bits(bit[held], width))
-    return (np.concatenate((base[busy], base[of])),
-            np.concatenate((pivot_row[busy], child)),
-            np.concatenate((h[busy], h[of] + 1)))
+    children = [np.concatenate((root, root[of])),
+                np.concatenate((pivot_row, child)),
+                np.concatenate((h, h[of] + 1))]
+    if sink is not None:
+        hold_bits, pivot_bits = nodes[3:]
+        children += [np.concatenate((hold_bits,
+                                     hold_bits[of] | _bit(bit[held], width))),
+                     np.concatenate((pivot_bits | _bit(bit[pivot], width),
+                                     pivot_bits[of]))]
+    return children
 
 
 # _LOW[f] is a word with its f lowest bits set.
@@ -428,14 +413,15 @@ def _low_bits(n: np.ndarray, width: int) -> np.ndarray:
                         0, WORD_BITS)]
 
 
-def _tally(tally: dict, depth: int, h: np.ndarray, weight=None) -> None:
-    """Add leaves of ``depth`` links, ``h`` of them hold links, to the
-    (|H|, |P|) histogram, ``weight[i]`` leaves for ``h[i]`` if given.
+def _bit(b: np.ndarray, width: int) -> np.ndarray:
+    """Masks of ``width`` words, each with the one bit ``b[i]`` set."""
+    return _low_bits(b + 1, width) ^ _low_bits(b, width)
 
-    A weighted ``bincount`` sums in float64, which is exact here: a batch
-    of ``walk_levels`` settles far fewer than 2^53 leaves.
-    """
-    found = np.bincount(h, weight)
+
+def _tally(tally: dict, depth: int, h: np.ndarray) -> None:
+    """Add leaves of ``depth`` links, ``h`` of them hold links, to the
+    (|H|, |P|) histogram."""
+    found = np.bincount(h)
     for i in np.flatnonzero(found).tolist():
         key = i, depth - i
         tally[key] = tally.get(key, 0) + int(found[i])
@@ -594,12 +580,12 @@ class SctNode:
 def materialize_sct(graph: Graph,
                     orientation: DegeneracyOrientation | None = None,
                     node_cap: int = DEFAULT_NODE_CAP) -> SctNode:
-    """Build the explicit clique tree of ``traverse``'s walk.
+    """Build the explicit clique tree of the reference walk, ``walk_root``.
 
     Intended for small graphs; raises SizeLimitError once more than
     ``node_cap`` non-root nodes have been created. Children keep the
     walk's order (pivot link first, then hold links by ascending id), so
-    the tree's leaves are ``traverse``'s leaves in the same order.
+    the tree's leaves are those of ``traverse``'s sink in the same order.
     """
     if orientation is None:
         orientation = degeneracy_orient(graph)
@@ -631,7 +617,7 @@ def materialize_sct(graph: Graph,
         del path[depth:]
         path.append((node, len(pivots)))
 
-    traverse(graph, orientation, _on_node=record)
+    walk_roots(orientation, np.arange(graph.n), on_node=record)
     return root
 
 

@@ -392,16 +392,15 @@ def test_fast_counter_overflow_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("flags", [[], ["--threads", "2"], ["--per-vertex"]])
 def test_failed_count_self_check_exit_code(capsys, tmp_path, monkeypatch,
                                            flags):
-    # A wrong tally planted in the walker that the count runs, the level
-    # walk for global-only counts and walk_root for local ones: one extra
-    # hold leaf per walk. C_2 then exceeds m, which every count checks.
-    name = "walk_root" if "--per-vertex" in flags else "walk_levels"
-    walker = getattr(sct, name)
+    # A wrong tally planted in the level walk, which every count runs: one
+    # extra hold leaf per walk. C_2 then exceeds m, which every count
+    # checks.
+    walker = sct.walk_levels
 
     def planted(stats, *args, **kwargs):
         walker(stats, *args, **kwargs)
         stats.leaves[2, 0] = stats.leaves.get((2, 0), 0) + 1
-    monkeypatch.setattr(sct, name, planted)
+    monkeypatch.setattr(sct, "walk_levels", planted)
     path = write_graph(tmp_path, complete_graph(6))
     code, out, err = run_cli(capsys, "count", path, *flags)
     assert code == 1 and out == ""

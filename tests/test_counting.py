@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cliquecount import (CounterOverflowError, CountTables,
@@ -30,19 +31,26 @@ def test_pascal_rows_exceed_64_bits_exactly():
     assert value > 2 ** 63 - 1
 
 
-def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None):
+def _accumulate(g, leaves, per_vertex=False, per_edge=False, max_k=None,
+                per_call=None):
     """Tables of the given (hold, pivots) leaves, as ``count`` builds them.
 
-    LeafBatches adds the leaves to the local tables, and ``global_tables``
-    the global counts of their (|H|, |P|) histogram.
+    ``accumulate_leaf`` adds the leaves to the local tables, ``per_call``
+    of them at a time (all at once by default), and ``global_tables`` the
+    global counts of their (|H|, |P|) histogram.
     """
     o = degeneracy_orient(g)
     tables = CountTables(g, *counting.local_tables(o, max_k, per_vertex,
                                                    per_edge))
-    batches = LeafBatches(tables, o.alpha, max_k)
-    for hold, pivots in leaves:
-        batches(hold, pivots)
-    batches.flush()
+    batches = LeafBatches(tables, o, max_k)
+    step = per_call or max(len(leaves), 1)
+    for i in range(0, len(leaves), step):
+        part = leaves[i:i + step]
+        counting.accumulate_leaf(batches, *(
+            np.array(x, dtype=np.int64) for x in (
+                [len(hold) for hold, _ in part],
+                [len(pivots) for _, pivots in part],
+                [v for hold, pivots in part for v in hold + pivots])))
     shape = TraversalStats(leaves=Counter(
         (len(hold), len(pivots)) for hold, pivots in leaves))
     return counting.global_tables(g, o.alpha, [shape], max_k, tables)
@@ -126,22 +134,19 @@ def _reference_accumulate(ref, hold, pivots, max_k):
 def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge,
                                                  monkeypatch):
     # Random leaves on K17 (h in 1..5, p in 0..12), several per table, so
-    # later leaves add into rows that earlier ones already filled. The
-    # batch size is forced to 1 (one leaf per batch), 7 (leaves split
-    # across batches) and left at its default (one batch). Rows are added
-    # in blocks of one entity, of a few entities and at the default block
-    # size. The batches' increment counts must add up to the
-    # transcription's.
+    # later leaves add into rows that earlier ones already filled. They
+    # are added one per call, seven per call (leaves split across calls)
+    # and all in one call. Rows are added in blocks of one entity, of a few
+    # entities and at the default block size. The calls' increment counts
+    # must add up to the transcription's.
     g = complete_graph(17)
     edges = list(g.edges())
     made = []
     batch_add = counting.accumulate_leaf
     monkeypatch.setattr(counting, "accumulate_leaf",
                         lambda *args: made.append(batch_add(*args)))
-    for batch, block in ((1, counting.ADD_BLOCK), (7, 1),
-                         (counting.LEAF_BATCH, 40),
-                         (counting.LEAF_BATCH, counting.ADD_BLOCK)):
-        monkeypatch.setattr(counting, "LEAF_BATCH", batch)
+    for per_call, block in ((1, counting.ADD_BLOCK), (7, 1), (None, 40),
+                            (None, counting.ADD_BLOCK)):
         monkeypatch.setattr(counting, "ADD_BLOCK", block)
         rng = random.Random(1400 + 2 * per_vertex + per_edge)
         for _ in range(40):
@@ -159,7 +164,8 @@ def test_accumulate_leaf_matches_increment_rules(per_vertex, per_edge,
                 want += (made_by["global"] + per_vertex * made_by["vertex"]
                          + per_edge * made_by["edge"])
             made.clear()
-            got = _accumulate(g, leaves, per_vertex, per_edge, max_k)
+            got = _accumulate(g, leaves, per_vertex, per_edge, max_k,
+                              per_call)
             assert sum(made) == want
             assert got.global_counts == (_strip(ref["global"]) or [0])
             if per_vertex:
@@ -452,6 +458,23 @@ def test_per_leaf_update_bounds():
         assert sum(map(bool, t.per_edge.flat)) <= (h + p) ** 2 * (p + 1)
 
 
+def test_local_counts_never_run_the_reference_walker(monkeypatch):
+    # walk_root serves traverse's per-leaf sink, the dumps and the tests;
+    # every count runs the level walk.
+    from cliquecount import sct
+    g = random_gnp(30, 0.4, 1700)
+    want = count(g, per_vertex=True, per_edge=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("walk_root ran")
+    monkeypatch.setattr(sct, "walk_root", forbidden)
+    with pytest.raises(AssertionError):
+        traverse(g, sink=lambda hold, pivots: None)
+    got = count(g, per_vertex=True, per_edge=True)
+    assert got.global_counts == want.global_counts
+    assert _local_counts(got) == _local_counts(want)
+
+
 def test_threads_with_local_mode_warns_and_runs_sequential(caplog):
     g = random_gnp(12, 0.5, 1300)
     with caplog.at_level("WARNING"):
@@ -481,17 +504,21 @@ def test_empty_graph_counts():
 
 def _traverse_reference(g, o, max_k):
     """``traverse`` with a global-only sink: every leaf's full binomial
-    row, those rows cut at ``max_k`` and trimmed, and the shape."""
+    row, those rows cut at ``max_k`` and trimmed, the shape, and the
+    leaves."""
     binomial = pascal_rows(o.alpha + 1)
     raw = [0] * (o.alpha + 2)
+    leaves = []
 
     def sink(hold, pivots):
         h, p = len(hold), len(pivots)
         for i in range(p + 1):
             raw[h + i] += binomial[p][i]
+        leaves.append((list(hold), list(pivots)))
 
     stats = traverse(g, o, sink, max_hold=max_k)
-    return raw, _strip(raw[:None if max_k is None else max_k + 1]), stats
+    return (raw, _strip(raw[:None if max_k is None else max_k + 1]), stats,
+            leaves)
 
 
 def _strip(counts):
@@ -565,7 +592,7 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
         roots = list(range(g.n))
         random.Random(seed).shuffle(roots)
         for max_k in (None, 1, 2, 3, 5):
-            raw, counts, stats = _traverse_reference(g, o, max_k)
+            raw, counts, stats, _ = _traverse_reference(g, o, max_k)
             chunks.clear()
             whole = counting.count_roots_global(o, roots, max_hold=max_k)
             if chunk_work is not None:
@@ -601,18 +628,34 @@ def _tripartite_graph(seed):
                              _complete_multipartite(3, 8).edges()], n=24)
 
 
+def _local_counts(tables):
+    """The counts of local tables laid out alike, to compare: the flat
+    rows, and the limb planes with every carry done."""
+    counts = []
+    for table in (tables.per_vertex, tables.per_edge):
+        planes = table.planes.copy()
+        for lower, upper in zip(planes[:-1], planes[1:]):
+            upper += lower >> counting.LIMB_BITS
+            lower &= (1 << counting.LIMB_BITS) - 1
+        counts += [table.flat.tolist(), planes.tolist()]
+    return counts
+
+
 @pytest.mark.parametrize("build", [_mixed_graph, _wide_root_graph,
                                    _multi_word_graph, _tripartite_graph])
 def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
     # Budgets small enough that the busy roots of a few chunks make one
     # level walk and split across several, a batch holds one node or a
     # few, and each level but the last splits into slices, walked deepest
-    # first. The global-only walk (walk_levels) must still give the shape
-    # and counts of traverse's sink walk (walk_root).
+    # first. The level walk (walk_levels) must still give the shape and
+    # counts of traverse's sink walk (walk_root): global-only, and
+    # per-vertex and per-edge, whose tables must be those of walk_root's
+    # leaves fed to accumulate_leaf, also with one leaf per LEAF_BATCH.
     from cliquecount import sct
     monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", 128)
     monkeypatch.setattr(sct, "ROOT_CHUNK_SHARE", 1 << 62)
     monkeypatch.setattr(sct, "LEVEL_NODES", 1)
+    leaf_batch = counting.LEAF_BATCH
     # Chunks, the depth of every batch, and where each walk's batches start.
     chunks, depths, starts = [], [], []
     chunk_rows, walk_levels, walk_batch = (sct._chunk_rows, sct.walk_levels,
@@ -634,7 +677,7 @@ def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
         roots = list(range(g.n))
         random.Random(seed).shuffle(roots)
         for max_k in (None, 1, 2, 3, 5):
-            _, counts, stats = _traverse_reference(g, o, max_k)
+            _, counts, stats, leaves = _traverse_reference(g, o, max_k)
             for log in (chunks, depths, starts):
                 log.clear()
             whole = counting.count_roots_global(o, roots, max_hold=max_k)
@@ -650,6 +693,20 @@ def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
                 merged = counting.global_tables(g, o.alpha, parts, max_k)
                 assert merged.global_counts == counts, (seed, max_k)
                 assert merged.stats == stats, (seed, max_k)
+            want = _accumulate(g, leaves, True, True, max_k)
+            # Seed 1 without max_k also adds the leaves one at a time.
+            one_by_one = (seed, max_k) == (1, None)
+            for batch in (leaf_batch, 1)[:1 + one_by_one]:
+                monkeypatch.setattr(counting, "LEAF_BATCH", batch)
+                for log in (chunks, depths, starts):
+                    log.clear()
+                local = count(g, per_vertex=True, per_edge=True, max_k=max_k,
+                              orientation=o)
+                assert len(chunks) > len(starts) > 1, (seed, max_k)
+                assert local.global_counts == counts, (seed, max_k)
+                assert local.stats == stats, (seed, max_k)
+                assert _local_counts(local) == _local_counts(want), (
+                    seed, max_k)
 
 
 def _expected_rows(top, value):

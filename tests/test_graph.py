@@ -252,11 +252,6 @@ def test_load_accepts_bytes_and_streams(tmp_path):
     assert load_edge_list(str(path)).m == 2
 
 
-def test_load_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        load_edge_list(["0 1"], fmt="parquet")
-
-
 def test_neighbors_examples():
     tri = load_edge_list(["0 1", "1 2", "2 0"])
     assert list(tri.neighbors(0)) == [1, 2]

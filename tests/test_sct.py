@@ -190,7 +190,8 @@ def test_truncated_leaves_are_a_subset(seed):
 
 def test_leaf_histogram_matches_the_leaves():
     # The walk tallies leaves by (|H|, |P|) whether or not a sink sees
-    # them; with a sink walk_root walks the tree, without one walk_levels.
+    # them; with a per-leaf sink walk_root walks the tree, without one
+    # walk_levels.
     for seed in range(4):
         g = random_gnp(30, 0.3, 1600 + seed)
         for max_hold in (None, 1, 2, 3):
@@ -212,8 +213,8 @@ def test_pivot_scan_stops_at_a_vertex_adjacent_to_all_others():
     rows = [b | c, a | c | d, a | b | d, b | c]
     leaves = []
     stats = TraversalStats()
-    sct.walk_root(stats, 5, [10, 11, 12, 13], rows,
-                  lambda hold, pivots: leaves.append((hold[:], pivots[:])))
+    sct.walk_root(stats, 5, [10, 11, 12, 13], rows, on_node=lambda mask, _,
+                  hold, pivots: mask or leaves.append((hold[:], pivots[:])))
     assert leaves == [([5], [11, 12, 10]), ([5, 13], [11, 12])]
     assert stats == TraversalStats(5, {(1, 3): 1, (2, 2): 1})
     # The level walk builds the same tree from the same rows.
