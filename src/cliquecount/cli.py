@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import counting, oracle
-from .degeneracy import degeneracy_orient, degeneracy_stats
+from .degeneracy import degeneracy_orient
 from .errors import CliqueCountError
 from .graph import Graph, load_edge_list
 from .sct import DEFAULT_NODE_CAP, materialize_sct
@@ -297,13 +297,12 @@ def cmd_stats(args) -> int:
     t1 = time.perf_counter()
     orientation = degeneracy_orient(graph)
     t2 = time.perf_counter()
-    stats = degeneracy_stats(orientation)
     doc = {
         "input": args.input,
         "n": graph.n,
         "m": graph.m,
-        "alpha": stats["alpha"],
-        "max_core_size": stats["max_core_size"],
+        "alpha": orientation.alpha,
+        "max_core_size": orientation.max_core_size(),
         "times": {"load_s": round(t1 - t0, 6), "orient_s": round(t2 - t1, 6)},
     }
     json.dump(doc, sys.stdout, indent=2)

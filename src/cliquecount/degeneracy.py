@@ -4,6 +4,12 @@ The ordering repeatedly removes a vertex of minimum residual degree,
 breaking ties toward the lowest dense id. Orienting every edge from
 earlier to later in this order bounds each out-neighborhood by the
 degeneracy alpha, which is what keeps the clique-tree subproblems small.
+
+The peel keeps one level per residual degree. Levels at or below the
+running core are min-heaps of ids; levels above it are plain lists,
+turned into heaps only when the core rises to them, which all rises
+together do in O(n + m). Nothing is removed from above the core, so the
+lists change the work and not the order (see ``degeneracy_orient``).
 """
 
 from __future__ import annotations
@@ -68,14 +74,28 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     """Compute the degeneracy ordering and orientation of ``graph``.
 
     A bucket queue indexed by residual degree, after Batagelj and
-    Zaversnik (2003), with a min-heap of vertex ids in each bucket so that
-    ties go to the lowest id. Buckets start in id order, which already is
-    a heap. When a neighbor's degree drops, its id is pushed into the
-    bucket one lower; the entry left behind is stale and dropped when
-    popped. A removal lowers the minimum residual degree by at most one,
-    so the scan steps back one bucket after each. Neighbors are read from
-    the CSR slice of each removed vertex. Core numbers fall out of the
-    same pass as the running maximum of removal-time residual degrees.
+    Zaversnik (2003), in which only the levels at or below the running
+    core are min-heaps of vertex ids, so that ties go to the lowest id.
+    Every level above the core is a plain list. The lists start out
+    holding every vertex, filed by degree in id order. A neighbor whose
+    degree drops to d is pushed on heap d when d is at most the core, and
+    appended to list d otherwise; the entry left behind is stale and
+    dropped when popped or read. A removal lowers the minimum residual
+    degree by at most one, so the scan steps back one level after each.
+
+    Once no heap up to the core holds a live entry, the minimum residual
+    degree is above the core. The core then rises to the next level whose
+    list holds a vertex of that degree: those vertices, sorted, become the
+    level's heap, and the lists of the levels passed over, which hold no
+    live vertex, are dropped. Each level turns from list to heap at most
+    once, and a vertex enters a list once initially and then once per
+    decrement, so all rises together read O(n + m) entries. A vertex of
+    residual degree d is never removed while a live vertex of lower
+    degree exists, and every live vertex at or below the core sits in its
+    level's heap, so the order is exactly that of one min-heap per level:
+    minimum degree first, lowest id on ties. The core is the running
+    maximum of removal-time degrees, so core numbers are read from the
+    positions at which it rose.
     """
     n = graph.n
     if n == 0:
@@ -84,48 +104,67 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
             np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32))
     offsets = graph._offsets
     neighbors = graph._neighbors
-    deg = np.diff(offsets).tolist()
-    buckets = [[] for _ in range(max(deg) + 1)]
+    degrees = np.diff(offsets)
+    deg = degrees.tolist()
+    levels = [[] for _ in range(max(deg) + 1)]
     for v, d in enumerate(deg):
-        buckets[d].append(v)
+        levels[d].append(v)
     bounds = offsets.tolist()
     push = heapq.heappush
     pop = heapq.heappop
     order: list[int] = []
-    rank = [0] * n
-    core_numbers = [0] * n
-    running_core = 0
+    rise_at = [0]
+    rise_to = [0]
+    core = 0
     d = 0
     for position in range(n):
         while True:
-            bucket = buckets[d]
+            if d > core:
+                # No live vertex at or below the core: rise to the next
+                # level that holds one, dropping the empty levels between.
+                while True:
+                    core += 1
+                    live = [u for u in levels[core] if deg[u] == core]
+                    levels[core] = live
+                    if live:
+                        break
+                live.sort()
+                rise_at.append(position)
+                rise_to.append(core)
+                d = core
+            bucket = levels[d]
             if not bucket:
                 d += 1
             else:
                 v = pop(bucket)
                 if deg[v] == d:
                     break
-        # A removed vertex keeps degree -1, so no bucket entry matches it.
+        # A removed vertex keeps degree -1, so no level entry matches it.
         deg[v] = -1
-        rank[v] = position
         order.append(v)
-        if d > running_core:
-            running_core = d
-        core_numbers[v] = running_core
         for u in neighbors[bounds[v]:bounds[v + 1]].tolist():
             du = deg[u]
             if du > 0:
-                deg[u] = du - 1
-                push(buckets[du - 1], u)
+                du -= 1
+                deg[u] = du
+                if du <= core:
+                    push(levels[du], u)
+                else:
+                    levels[du].append(u)
         if d:
             d -= 1
-    alpha = running_core
+    alpha = core
+
+    order_arr = np.asarray(order, dtype=np.int32)
+    rank_arr = np.empty(n, dtype=np.int32)
+    rank_arr[order_arr] = np.arange(n, dtype=np.int32)
+    core_arr = np.empty(n, dtype=np.int64)
+    core_arr[order_arr] = np.repeat(rise_to, np.diff(rise_at + [n]))
 
     # Orient edges toward higher rank; CSR rows are id-sorted already, so
     # filtering preserves the ascending order the traversal relies on.
-    rank_arr = np.asarray(rank, dtype=np.int32)
     if len(neighbors):
-        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+        row_of = np.repeat(np.arange(n, dtype=np.int32), degrees)
         keep = rank_arr[neighbors] > rank_arr[row_of]
         out_targets = np.ascontiguousarray(neighbors[keep])
         counts = np.bincount(row_of[keep], minlength=n)
@@ -134,8 +173,8 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
         counts = np.zeros(n, dtype=np.int64)
     out_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=out_offsets[1:])
-    return DegeneracyOrientation(n, order, rank, alpha, core_numbers,
-                                 out_offsets, out_targets)
+    return DegeneracyOrientation(n, order, rank_arr.tolist(), alpha,
+                                 core_arr.tolist(), out_offsets, out_targets)
 
 
 def degeneracy_stats(orientation: DegeneracyOrientation) -> dict:

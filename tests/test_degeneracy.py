@@ -3,7 +3,7 @@ import math
 import networkx as nx
 import pytest
 
-from cliquecount import degeneracy_orient, degeneracy_stats
+from cliquecount import Graph, degeneracy_orient, degeneracy_stats
 
 from conftest import (complete_graph, cycle_graph, empty_graph, path_graph,
                       quadratic_peel, random_gnp, star_graph)
@@ -46,8 +46,12 @@ def test_empty_graph():
 
 
 def test_isolated_vertices_ordered_first():
-    o = degeneracy_orient(star_graph(3))  # center 0
-    assert o.order[-1] == 0 or o.out_degree(0) <= 1
+    # a triangle 1-2-4 with a pendant 6; 0, 3, 5 and 7 are isolated
+    g = Graph.from_edges([(4, 1), (2, 4), (1, 2), (6, 4)], n=8)
+    o = degeneracy_orient(g)
+    assert o.order[:4] == [0, 3, 5, 7]
+    assert [o.core_numbers[v] for v in (0, 3, 5, 7)] == [0, 0, 0, 0]
+    assert o.order == quadratic_peel(g)[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -69,9 +73,23 @@ def test_orientation_invariants_random(seed):
     assert covered == g.m
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_order_matches_quadratic_peeler(seed):
-    g = random_gnp(4 + 4 * seed, 0.35, 1000 + seed)
+def staircase_graph() -> Graph:
+    """Disjoint K2 ... K8, then a 30-vertex path: the whole path goes at
+    core 1, then the core rises once per clique, through a level 2 that
+    still lists the path's removed vertices."""
+    edges, base = [], 0
+    for size in range(2, 9):
+        edges += [(base + i, base + j)
+                  for i in range(size) for j in range(i + 1, size)]
+        base += size
+    edges += [(base + i, base + i + 1) for i in range(29)]
+    return Graph.from_edges(edges, n=base + 30)
+
+
+@pytest.mark.parametrize(
+    "g", [random_gnp(4 + 4 * seed, 0.35, 1000 + seed) for seed in range(10)]
+    + [staircase_graph()], ids=[*map(str, range(10)), "staircase"])
+def test_order_matches_quadratic_peeler(g):
     o = degeneracy_orient(g)
     ref_order, ref_alpha = quadratic_peel(g)
     assert o.alpha == ref_alpha

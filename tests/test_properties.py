@@ -17,14 +17,27 @@ from conftest import quadratic_peel
 
 @st.composite
 def tie_heavy_graphs(draw):
-    """Stars, disjoint cliques or circulant (regular) graphs, lightly
-    perturbed and relabelled, so that many vertices tie on degree."""
-    kind = draw(st.sampled_from(["stars", "cliques", "circulant"]))
+    """Stars, disjoint cliques, circulant (regular) graphs, or a clique
+    with a star or path hung off it, lightly perturbed and relabelled, so
+    that many vertices tie on degree. The mixed kind makes the core jump
+    by more than one, and degrees fall from above the running core to at
+    or below it in the middle of a shell."""
+    kind = draw(st.sampled_from(["stars", "cliques", "circulant", "mixed"]))
     edges = []
     if kind == "circulant":
         n = draw(st.integers(3, 30))
         steps = draw(st.sets(st.integers(1, n // 2), max_size=3))
         edges = [(v, (v + s) % n) for v in range(n) for s in steps]
+    elif kind == "mixed":
+        size = draw(st.integers(3, 8))
+        tail = draw(st.integers(1, 8))
+        n = size + tail
+        edges = list(itertools.combinations(range(size), 2))
+        edges.append((draw(st.integers(0, size - 1)), size))
+        if draw(st.booleans()):
+            edges += [(size, v) for v in range(size + 1, n)]
+        else:
+            edges += [(v, v + 1) for v in range(size, n - 1)]
     else:
         sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
         n = sum(sizes)
