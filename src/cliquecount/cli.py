@@ -17,6 +17,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -78,22 +79,75 @@ def _write_global_csv(tables, out) -> None:
         out.write(f"{k},{tables.global_counts[k]}\n")
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """Decimal digits as words, built on first use.
+
+    Entry s * 10^4 + g is the base-10^4 group g as four ASCII bytes in one
+    little-endian uint32: s = 2 gives every digit, s = 1 a number's
+    leading group, with its leading zeros as NUL bytes (0 stays "0"), and
+    s = 0 all NUL bytes, for the zero groups ahead of that. Line text
+    drops the NUL bytes.
+    """
+    group = np.arange(10 ** 4, dtype=np.uint16)
+    digits = np.zeros((3, 10 ** 4, 4), dtype=np.uint8)
+    for j, (place, lead) in enumerate(zip((1000, 100, 10, 1),
+                                          (1000, 100, 10, 0))):
+        digits[2, :, j] = group // place % 10 + ord("0")
+        digits[1, :, j] = digits[2, :, j] * (group >= lead)
+    return digits.view("<u4").ravel()
+
+
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", dtype="<u4")
+
+
+def _words(groups: np.ndarray) -> np.ndarray:
+    """The digit words of numbers given as ``counting.decimal_groups``."""
+    width = groups.shape[1]
+    lead = np.full((len(groups), 1), width - 1, dtype=np.int16)
+    for i in range(width - 2, -1, -1):
+        lead[groups[:, i] != 0] = i
+    state = np.sign(np.arange(width, dtype=np.int16) - lead) + 1
+    return _digit_words().take(state * 10 ** 4 + groups)
+
+
+def _number_words(values: np.ndarray) -> np.ndarray:
+    """The digit words of non-negative int64 ``values``."""
+    return _words(counting.decimal_groups(values[None]))
+
+
+def _lines(*fields: np.ndarray) -> str:
+    """One line per row of the word arrays ``fields``, comma-separated."""
+    comma = np.full((len(fields[0]), 1), _COMMA)
+    mat = np.concatenate([x for field in fields for x in (field, comma)],
+                         axis=1)
+    mat[:, -1] = _NEWLINE
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _write_local_csv(table, ids, out) -> None:
+    """Lines "ids,k,count" of the nonzero counts of ``table``, in order.
+
+    ``ids(lo, hi)`` gives the id columns of entities lo..hi - 1, arrays
+    of non-negative integers; each entity's ids are formatted once.
+    """
+    for entity, ks, groups in table.entries():
+        lo = int(entity[0])
+        at = entity - lo
+        out.write(_lines(*[_number_words(column)[at] for column in
+                           ids(lo, int(entity[-1]) + 1)],
+                         _number_words(ks), _words(groups)))
+
+
 def _write_per_vertex_csv(tables, out) -> None:
-    for vs, ks, cs in tables.per_vertex.entries():
-        out.write("".join([f"{v},{k},{c}\n"
-                           for v, k, c in zip(vs.tolist(), ks.tolist(), cs)]))
+    _write_local_csv(tables.per_vertex, lambda lo, hi: [np.arange(lo, hi)],
+                     out)
 
 
 def _write_per_edge_csv(tables, out) -> None:
     # Streams in canonical edge order; per-edge output can be very large.
-    # A chunk's edges are formatted once each, as line prefixes "u,v,".
-    for eids, ks, cs in tables.per_edge.entries():
-        first = int(eids[0])
-        us, vs = np.divmod(tables.edge_codes[first:int(eids[-1]) + 1],
-                           tables.n)
-        prefix = [f"{u},{v}," for u, v in zip(us.tolist(), vs.tolist())]
-        out.write("".join([f"{prefix[i]}{k},{c}\n" for i, k, c in
-                           zip((eids - first).tolist(), ks.tolist(), cs)]))
+    _write_local_csv(tables.per_edge, lambda lo, hi: np.divmod(
+        tables.edge_codes[lo:hi], tables.n), out)
 
 
 def _json_objects(table, indent: int):
@@ -104,10 +158,11 @@ def _json_objects(table, indent: int):
     as ``json.dump(..., indent=2)`` lays it out at ``indent`` spaces.
     """
     pad = "\n" + " " * indent
-    for es, ks, cs in table.entries():
+    for es, ks, groups in table.entries():
+        counts = _lines(_words(groups)).split("\n")
         yield [(e, "{" + ",".join([f'{pad}  "{k}": "{c}"'
                                   for _, k, c in group]) + pad + "}")
-               for e, group in groupby(zip(es.tolist(), ks.tolist(), cs),
+               for e, group in groupby(zip(es.tolist(), ks.tolist(), counts),
                                        key=itemgetter(0))]
 
 

@@ -46,8 +46,11 @@ LIMB_BITS = 31
 # Wide rows are carried once this many incidences have been added to them
 # since the last carry; see LocalTable.
 CARRY_AFTER = 1 << 30
-# Rows write out in chunks of about this many table entries.
-WRITE_CHUNK = 1 << 13
+# Rows write out in chunks of about this many table entries. A chunk's
+# scratch arrays take about 250 bytes per entry; on the geo-local benchmark
+# (2-core x86 host) chunks of 2^13 entries raised the peak memory of a
+# per-vertex and per-edge count by 1.2 MB more than 2^12, at the same speed.
+WRITE_CHUNK = 1 << 12
 # Leaf rows are added in blocks of about this many table entries, so that
 # the scratch arrays of an addition stay small enough to be cached. On the
 # geo-local benchmark (2-core x86 host) that took 6% less wall time and
@@ -70,16 +73,16 @@ def pascal_rows(limit: int) -> list[list[int]]:
 class LocalTable:
     """Exact local counts of one entity family (vertices or edges), flat.
 
-    Entity e's row holds c_k(e) for k = ``base``, ``base`` + 1, ... in
-    ``flat[offsets[e]:offsets[e + 1]]``. A row is as wide as the largest
-    clique that can hold the entity, capped by max_k. Each entity comes
-    with an upper bound on all its counts, fixed before the walk
-    (``local_tables``). Where the bound is below 2^62 the row holds exact
-    int64 counts. The other ("wide") entities, ids ``wide`` in ascending
-    order, keep zeros in ``flat``: the i-th one's row is
-    ``planes[:, i, :width]``, one int64 plane per ``LIMB_BITS``-bit limb,
-    least significant first, with enough planes for any count of the
-    graph.
+    Entity e's row holds c_k(e) for k = ``base``, ``base`` + 1, ... A row
+    is as wide as the largest clique that can hold the entity, capped by
+    max_k. Each entity comes with an upper bound on all its counts, fixed
+    before the walk (``local_tables``). Where the bound is below 2^62 the
+    row holds exact int64 counts in ``flat[offsets[e]:offsets[e + 1]]``.
+    The other ("wide") entities, ids ``wide`` in ascending order, have no
+    slots in ``flat`` (``offsets[e]`` = ``offsets[e + 1]``): the i-th one's
+    row is ``planes[:, i, :wide_widths[i]]``, one int64 plane per
+    ``LIMB_BITS``-bit limb, least significant first, with enough planes
+    for any count of the graph.
 
     No count can overflow, so there is no check at run time. Counts only
     grow, so a narrow entry never exceeds its final count, which is below
@@ -90,23 +93,25 @@ class LocalTable:
     last carry, ``add`` brings every plane but the top one back below
     2^LIMB_BITS, and the top one holds at most LIMB_BITS bits of a final
     count. So no plane entry reaches 2^LIMB_BITS times (1 + CARRY_AFTER +
-    the incidences of one slice), below 2^62. Reads combine the planes
-    into Python integers exactly whether or not they were carried.
+    the incidences of one slice), below 2^62. Reads carry the planes, or
+    combine them into Python integers, exactly whether or not they were
+    carried.
     """
 
-    __slots__ = ("base", "offsets", "flat", "wide", "is_wide", "planes",
-                 "uncarried")
+    __slots__ = ("base", "offsets", "flat", "wide", "wide_widths", "is_wide",
+                 "planes", "uncarried")
 
     def __init__(self, base: int, widths: np.ndarray, is_wide: np.ndarray,
                  limbs: int):
         self.base = base
         self.offsets = np.zeros(len(widths) + 1, dtype=np.int64)
-        np.cumsum(widths, out=self.offsets[1:])
+        np.cumsum(np.where(is_wide, 0, widths), out=self.offsets[1:])
         self.flat = np.zeros(int(self.offsets[-1]), dtype=np.int64)
         self.is_wide = is_wide
         self.wide = np.flatnonzero(is_wide)
+        self.wide_widths = widths[self.wide]
         self.planes = np.zeros((limbs if len(self.wide) else 0, len(self.wide),
-                                int(widths[self.wide].max(initial=0))),
+                                int(self.wide_widths.max(initial=0))),
                                dtype=np.int64)
         self.uncarried = 0
 
@@ -152,9 +157,7 @@ class LocalTable:
                     self.flat[at] += c * binomial[w, :j]
         if self.uncarried >= CARRY_AFTER:
             self.uncarried = 0
-            for lower, upper in zip(self.planes[:-1], self.planes[1:]):
-                upper += lower >> LIMB_BITS
-                lower &= (1 << LIMB_BITS) - 1
+            _carry(self.planes)
         return increments
 
     @staticmethod
@@ -167,44 +170,101 @@ class LocalTable:
 
     def row(self, e: int) -> list[int]:
         """Entity e's full row as Python integers, from k = ``base``."""
-        a, b = int(self.offsets[e]), int(self.offsets[e + 1])
         if self.is_wide[e]:
             i = np.searchsorted(self.wide, e)
-            return self._combine(self.planes[:, i, :b - a])
-        return self.flat[a:b].tolist()
+            return self._combine(self.planes[:, i, :self.wide_widths[i]])
+        return self.flat[self.offsets[e]:self.offsets[e + 1]].tolist()
 
     def entries(self):
-        """Yield (entity, k, count) for the nonzero counts, chunk by chunk.
+        """Yield (entity, k, groups) for the nonzero counts, chunk by chunk.
 
-        Each chunk covers a range of entities with about ``WRITE_CHUNK``
-        entries and at least one nonzero count; ``entity`` and ``k`` are
-        arrays, ``count`` a list of Python integers, all in row order.
+        Each chunk covers a range of entities whose rows, narrow and wide,
+        hold about ``WRITE_CHUNK`` entries, and at least one nonzero count.
+        ``entity`` and ``k`` are arrays in row order, and ``groups`` holds
+        the counts' base-10^4 digit groups, one row per count
+        (``decimal_groups``). Wide rows are carried on a copy of their
+        planes and narrow counts split into the same limbs, so no count
+        becomes a Python integer.
         """
         offsets = self.offsets
-        stops = np.searchsorted(
-            offsets, np.arange(WRITE_CHUNK, offsets[-1], WRITE_CHUNK))
-        bounds = np.unique(np.concatenate(
-            ([0], stops, [len(offsets) - 1]))).tolist()
+        bounds = self._chunk_bounds()
+        shifts = LIMB_BITS * np.arange(len(self.planes))[:, None]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             a = offsets[lo]
             values = self.flat[a:offsets[hi]]
+            at = np.flatnonzero(values)
+            entity = np.repeat(np.arange(lo, hi),
+                               np.diff(offsets[lo:hi + 1]))[at]
+            k = at + a - offsets[entity] + self.base
+            limbs = values[at][None]
             w0, w1 = np.searchsorted(self.wide, (lo, hi)).tolist()
             if w0 < w1:
-                values = values.astype(object)
-                for i in range(w0, w1):
-                    e = self.wide[i]
-                    s, t = offsets[e:e + 2] - a
-                    values[s:t] = self._combine(self.planes[:, i, :t - s])
-            at = np.flatnonzero(values)
-            if not len(at):
-                continue
-            entity = np.searchsorted(offsets, at + a, side="right") - 1
-            k = at + a - offsets[entity] + self.base
-            yield entity, k, values[at].tolist()
+                planes = self.planes[:, w0:w1].copy()
+                _carry(planes)
+                row, col = np.nonzero(planes.any(axis=0))
+                limbs = limbs >> shifts
+                limbs[:-1] &= (1 << LIMB_BITS) - 1
+                entity = np.concatenate((entity, self.wide[w0 + row]))
+                order = np.argsort(entity, kind="stable")
+                entity = entity[order]
+                k = np.concatenate((k, col + self.base))[order]
+                limbs = np.concatenate((limbs, planes[:, row, col]),
+                                       axis=1)[:, order]
+            if len(entity):
+                yield entity, k, decimal_groups(limbs)
+
+    def _chunk_bounds(self) -> list[int]:
+        """Entity bounds of chunks of about ``WRITE_CHUNK`` entries."""
+        wide = np.zeros_like(self.offsets)
+        wide[self.wide + 1] = self.wide_widths
+        ends = self.offsets + np.cumsum(wide)
+        stops = np.searchsorted(ends, np.arange(WRITE_CHUNK, ends[-1],
+                                                WRITE_CHUNK))
+        return np.unique(np.concatenate(([0], stops, [len(ends) - 1]))
+                         ).tolist()
 
     def max_count(self) -> int:
         return max([int(self.flat.max(initial=0)),
                     *(c for e in self.wide.tolist() for c in self.row(e))])
+
+
+def _carry(planes: np.ndarray) -> None:
+    """Carry limb planes in place, least significant first: every plane
+    but the top one ends below 2^LIMB_BITS, and the values stay the same."""
+    for lower, upper in zip(planes[:-1], planes[1:]):
+        upper += lower >> LIMB_BITS
+        lower &= (1 << LIMB_BITS) - 1
+
+
+def decimal_groups(limbs: np.ndarray) -> np.ndarray:
+    """Base-10^4 digit groups of non-negative numbers given as limbs.
+
+    Number i is the sum over j of ``limbs[j, i]`` << (LIMB_BITS * j);
+    every limb but the last is below 2^LIMB_BITS, the last may be any
+    non-negative int64. Returns an int16 array with one row per number,
+    most significant group first, enough groups for the largest number's
+    bit length (at least one, so leading groups may be 0). The groups
+    come from long division by 10^4, limb by limb from the top, once per
+    group: remainders stay below 10^4, so no partial dividend reaches
+    2^63.
+    """
+    while len(limbs) > 1 and not limbs[-1].any():
+        limbs = limbs[:-1]
+    bits = LIMB_BITS * (len(limbs) - 1) + int(limbs[-1].max(initial=0)
+                                               ).bit_length()
+    width = -(-len(str((1 << bits) - 1)) // 4)
+    groups = np.empty((limbs.shape[1], width), dtype=np.int16)
+    limbs = list(limbs[::-1])
+    for g in range(width - 1, -1, -1):
+        rest = 0
+        for i, limb in enumerate(limbs):
+            dividend = (rest << LIMB_BITS) + limb
+            limbs[i] = dividend // 10 ** 4
+            rest = dividend - limbs[i] * 10 ** 4
+        groups[:, g] = rest
+        if len(limbs) > 1 and not limbs[0].any():
+            del limbs[0]
+    return groups
 
 
 def local_tables(orientation: DegeneracyOrientation, max_k: int | None,

@@ -1,12 +1,16 @@
+import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cliquecount import cli, count, load_edge_list, sct
+from cliquecount import Graph, cli, count, load_edge_list, sct
 
 from conftest import complete_graph, random_gnp
 from cliquecount import edge_list_text
@@ -366,6 +370,89 @@ def _json_reference(graph, tables):
                 for k, c in enumerate(tables.edge_row(u, v), start=2) if c}]
         for u, v in tables.edges()]
     return doc
+
+
+def _geometric_graph_with_k70(seed):
+    """80 random points joined within distance 0.2 (cliques of about ten),
+    a K70, 30 edges between the two, and a K40, whose int64 counts pass
+    2^31, under a random relabelling, so that wide (limb-plane) rows and
+    narrow rows, small and large, alternate in both tables."""
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(80)]
+    edges = [(a, b) for a in range(80) for b in range(a + 1, 80)
+             if math.dist(points[a], points[b]) < 0.2]
+    edges += itertools.combinations(range(80, 150), 2)
+    edges += [(rng.randrange(80), rng.randrange(80, 150)) for _ in range(30)]
+    edges += itertools.combinations(range(150, 190), 2)
+    label = list(range(190))
+    rng.shuffle(label)
+    return Graph.from_edges([(label[a], label[b]) for a, b in edges], n=190)
+
+
+def _csv_reference(tables):
+    """The per-vertex and per-edge CSV text, built from the tables' rows."""
+    vertex, edge = tables.per_vertex, tables.per_edge
+    return ("".join(f"{v},{k},{c}\n" for v in range(tables.n)
+                    for k, c in enumerate(vertex.row(v), vertex.base) if c),
+            "".join(f"{u},{v},{k},{c}\n"
+                    for i, (u, v) in enumerate(tables.edges())
+                    for k, c in enumerate(edge.row(i), edge.base) if c))
+
+
+@pytest.mark.parametrize("write_chunk,carried", [
+    (1, True), (7, True), (None, True), (None, False)])
+def test_local_text_matches_reference_formatter(write_chunk, carried,
+                                                monkeypatch):
+    # The numpy writers (digit words from long division of limbs) against
+    # f-strings of the rows' Python integers, over chunks of one entry, of
+    # seven and of the default size. K70 rows are wide: their counts reach
+    # C(69, 34) > 2^66. Uncarried: every plane-0 entry holds 2^31 more and
+    # every plane-1 entry one less (-1 where it held 0), the same values,
+    # which the writers must carry before they format.
+    from cliquecount import counting
+    if write_chunk is not None:
+        monkeypatch.setattr(counting, "WRITE_CHUNK", write_chunk)
+    graph = _geometric_graph_with_k70(5)
+    tables = count(graph, per_vertex=True, per_edge=True)
+    want_csv = _csv_reference(tables)
+    want_json = json.dumps(_json_reference(graph, tables), indent=2) + "\n"
+    assert max(max(tables.per_vertex.row(v)) for v in range(graph.n)) >= 2 ** 63
+    for table in (tables.per_vertex, tables.per_edge):
+        assert 0 < len(table.wide) < len(table.offsets) - 1
+        if not carried:
+            table.planes[0] += 1 << counting.LIMB_BITS
+            table.planes[1] -= 1
+    assert _csv_reference(tables) == want_csv
+    got = []
+    for write in (cli._write_per_vertex_csv, cli._write_per_edge_csv):
+        out = io.StringIO()
+        write(tables, out)
+        got.append(out.getvalue())
+    assert tuple(got) == want_csv
+    out = io.StringIO()
+    cli._write_json(graph, tables, out)
+    assert out.getvalue() == want_json
+
+
+def test_decimal_formatter_matches_str():
+    # Numbers as LIMB_BITS-bit limbs through decimal_groups and the digit
+    # words, against str(): group edges, inner zero groups, the int64 edge,
+    # C(68, 34), and the largest value of three planes (the K70's), whose
+    # top plane may hold any non-negative int64.
+    from cliquecount import counting
+    bits = counting.LIMB_BITS
+    largest = (2 ** 63 - 1) << 2 * bits | (1 << 2 * bits) - 1
+    values = [0, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8, 2 ** 62, 2 ** 63,
+              math.comb(68, 34), 10 ** 20 + 7, largest]
+    for chosen in (values, values[:5], [0], [largest, 0]):
+        limbs = np.array([[v >> bits * j & (1 << bits) - 1 for v in chosen]
+                          for j in range(2)]
+                         + [[v >> 2 * bits for v in chosen]], dtype=np.int64)
+        text = cli._lines(cli._words(counting.decimal_groups(limbs)))
+        assert text == "".join(f"{v}\n" for v in chosen)
+    small = np.array([0, 7, 10 ** 4, 10 ** 12 + 5, 2 ** 63 - 1])
+    assert cli._lines(cli._number_words(small)) == "".join(
+        f"{v}\n" for v in small.tolist())
 
 
 def test_fast_counters_local_k70_exit_code(capsys, tmp_path):
