@@ -116,27 +116,35 @@ def _number_words(values: np.ndarray) -> np.ndarray:
     return _words(counting.decimal_groups(values[None]))
 
 
-def _lines(*fields: np.ndarray) -> str:
+def _lines(*fields: np.ndarray) -> bytes:
     """One line per row of the word arrays ``fields``, comma-separated."""
     comma = np.full((len(fields[0]), 1), _COMMA)
     mat = np.concatenate([x for field in fields for x in (field, comma)],
                          axis=1)
     mat[:, -1] = _NEWLINE
-    return mat.tobytes().translate(None, b"\0").decode("ascii")
+    return mat.tobytes().translate(None, b"\0")
 
 
 def _write_local_csv(table, ids, out) -> None:
     """Lines "ids,k,count" of the nonzero counts of ``table``, in order.
 
     ``ids(lo, hi)`` gives the id columns of entities lo..hi - 1, arrays
-    of non-negative integers; each entity's ids are formatted once.
+    of non-negative integers; each entity's ids are formatted once. The
+    lines go as bytes to the binary buffer of ``out`` where it has one,
+    after what was written to ``out`` as text.
     """
+    if hasattr(out, "buffer"):
+        out.flush()
+        write = out.buffer.write
+    else:
+        def write(data):
+            out.write(data.decode("ascii"))
     for entity, ks, groups in table.entries():
         lo = int(entity[0])
         at = entity - lo
-        out.write(_lines(*[_number_words(column)[at] for column in
-                           ids(lo, int(entity[-1]) + 1)],
-                         _number_words(ks), _words(groups)))
+        write(_lines(*[_number_words(column)[at] for column in
+                       ids(lo, int(entity[-1]) + 1)],
+                     _number_words(ks), _words(groups)))
 
 
 def _write_per_vertex_csv(tables, out) -> None:
@@ -159,7 +167,7 @@ def _json_objects(table, indent: int):
     """
     pad = "\n" + " " * indent
     for es, ks, groups in table.entries():
-        counts = _lines(_words(groups)).split("\n")
+        counts = _lines(_words(groups)).decode("ascii").split("\n")
         yield [(e, "{" + ",".join([f'{pad}  "{k}": "{c}"'
                                   for _, k, c in group]) + pad + "}")
                for e, group in groupby(zip(es.tolist(), ks.tolist(), counts),

@@ -106,8 +106,11 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     neighbors = graph._neighbors
     degrees = np.diff(offsets)
     deg = degrees.tolist()
+    # Levels hold these ints rather than the fresh ones of each tolist(),
+    # so stale entries keep no int of their own alive.
+    vertex = list(range(n))
     levels = [[] for _ in range(max(deg) + 1)]
-    for v, d in enumerate(deg):
+    for v, d in zip(vertex, deg):
         levels[d].append(v)
     bounds = offsets.tolist()
     push = heapq.heappush
@@ -148,9 +151,9 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
                 du -= 1
                 deg[u] = du
                 if du <= core:
-                    push(levels[du], u)
+                    push(levels[du], vertex[u])
                 else:
-                    levels[du].append(u)
+                    levels[du].append(vertex[u])
         if d:
             d -= 1
     alpha = core

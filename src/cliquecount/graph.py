@@ -10,8 +10,9 @@ Every source is read into memory once as bytes and parsed by numpy with
 no Python loop over lines: in newline-aligned chunks, the whitespace that
 ``str.split()`` separates on gives each label's bounds, a search over the
 newline positions gives its line, and each label becomes a key of
-space-padded 8-byte words. One sort of the keys gives the dense ids, and
-``id_map`` is built from the distinct labels alone.
+space-padded 8-byte words. One sort of the keys gives the dense ids. The
+graph keeps only the distinct key rows, and ``id_map`` is built from them
+on first read.
 """
 
 from __future__ import annotations
@@ -46,17 +47,30 @@ class Graph:
     Attributes:
         n: number of vertices (dense ids 0..n-1, isolated vertices kept).
         m: number of undirected edges.
-        id_map: original label -> dense id, in first-appearance order.
+        id_map: original label -> dense id, in first-appearance order;
+            ``str(v) -> v`` for a graph built without labels. Built on
+            first read, from the distinct labels' key rows of
+            ``load_edge_list``, unless given.
     """
 
-    __slots__ = ("n", "m", "id_map", "_offsets", "_neighbors")
+    __slots__ = ("n", "m", "_id_map", "_keys", "_offsets", "_neighbors")
 
     def __init__(self, n, offsets, neighbors, id_map=None):
         self.n = int(n)
         self.m = int(len(neighbors) // 2)
-        self.id_map = id_map if id_map is not None else {str(v): v for v in range(n)}
+        self._id_map = id_map
+        self._keys = None
         self._offsets = offsets
         self._neighbors = neighbors
+
+    @property
+    def id_map(self) -> dict[str, int]:
+        if self._id_map is None:
+            labels = (map(str, range(self.n)) if self._keys is None
+                      else _labels(self._keys))
+            self._id_map = dict(zip(labels, range(self.n)))
+            self._keys = None
+        return self._id_map
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -76,8 +90,7 @@ class Graph:
             u, v = arr[:, 0], arr[:, 1]
         else:
             u = v = np.empty(0, dtype=np.int64)
-        offsets, neighbors = _build_csr(n, u, v)
-        return cls(n, offsets, neighbors, id_map={str(i): i for i in range(n)})
+        return cls(n, *_build_csr(n, u, v))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -133,25 +146,36 @@ class Graph:
 def _build_csr(n, u, v):
     """Normalize raw endpoint arrays into sorted CSR adjacency.
 
-    Each edge becomes the key min * n + max; one sort plus a
-    neighbour-inequality mask drops duplicates, and one more sort of the
-    keys of both directions (src * n + dst) orders the rows.
+    Each edge becomes the int64 key min * n + max; one sort plus a
+    neighbour-inequality mask drops duplicates. The distinct keys and
+    their reverses (max * n + min) fill one array, whose in-place sort
+    orders the rows; a search for each row's first key src * n gives the
+    offsets, and the keys' remainders the neighbours. At most three int64
+    entries per edge are alive at a time.
     """
     keep = u != v
-    u, v = u[keep], v[keep]
-    if n == 0 or len(u) == 0:
+    if n == 0 or not keep.any():
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
     n = np.int64(n)
-    key = np.minimum(u, v) * n + np.maximum(u, v)
+    u, v = u[keep], v[keep]
+    key = np.minimum(u, v, dtype=np.int64)
+    key *= n
+    key += np.maximum(u, v)
+    del u, v, keep
     key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    both = np.concatenate([key, (key % n) * n + key // n])
+    key = key[np.diff(key, prepend=-1) != 0]
+    half = len(key)
+    both = np.concatenate((key, key))
+    del key
+    reverse, low = both[half:], np.empty(half, dtype=np.int32)
+    np.divmod(reverse, n, out=(low, reverse))
+    reverse *= n
+    reverse += low
+    del low
     both.sort()
-    src = both // n
-    neighbors = (both - src * n).astype(np.int32)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, neighbors
+    offsets = np.searchsorted(both, np.arange(n + 1) * n)
+    np.remainder(both, n, out=both)
+    return offsets, both.astype(np.int32)
 
 
 def _read(source) -> bytes:
@@ -326,8 +350,9 @@ def load_edge_list(source) -> Graph:
     n = len(distinct)
     offsets, neighbors = _build_csr(n, ids[0::2], ids[1::2])
     del ids
-    id_map = dict(zip(_labels(distinct), range(n)))
-    return Graph(n, offsets, neighbors, id_map=id_map)
+    graph = Graph(n, offsets, neighbors)
+    graph._keys = distinct
+    return graph
 
 
 def write_edge_list(graph: Graph, sink: TextIO) -> None:

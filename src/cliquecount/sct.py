@@ -53,10 +53,13 @@ WORD_BITS = 64
 # rows come to this many words, and walks them at once (``walk_levels``).
 LEVEL_ROW_WORDS = 1 << 16
 # ``walk_levels`` walks a level in batches of nodes whose members' rows come
-# to at most LEVEL_WORDS words, counting a node's unpacked mask as 8 words
-# per word; a batch's scratch takes about 80 bytes per word. Once the next
-# level holds LEVEL_NODES nodes, it is walked before the rest of this one.
+# to at most min(LEVEL_WORDS, m // LEVEL_SHARE) words, m the number of
+# oriented edges, counting a node's unpacked mask as 8 words per word. A
+# batch's scratch takes about 20 bytes per word, so it stays a fixed share
+# of the out-CSR on small graphs. Once the next level holds LEVEL_NODES
+# nodes, it is walked before the rest of this one.
 LEVEL_WORDS = 1 << 14
+LEVEL_SHARE = 2
 LEVEL_NODES = 1 << 14
 
 
@@ -150,6 +153,7 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     settled = [out_deg[:0]]
     waiting: dict[int, list[tuple[np.ndarray, ...]]] = {}
     waiting_words = 0
+    budget = min(LEVEL_WORDS, len(targets) // LEVEL_SHARE)
     for lo, hi in root_chunks(offsets, targets, out_deg, roots):
         chunk = roots[lo:hi]
         rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
@@ -172,9 +176,9 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
                  chunk[pick]))
         waiting_words += int((sizes * words)[busy].sum())
         if waiting_words >= LEVEL_ROW_WORDS:
-            _walk_waiting(stats, waiting, max_hold, batches)
+            _walk_waiting(stats, waiting, max_hold, batches, budget)
             waiting_words = 0
-    _walk_waiting(stats, waiting, max_hold, batches)
+    _walk_waiting(stats, waiting, max_hold, batches, budget)
     settled = np.concatenate(settled)
 
     # An edge-free root with s >= 1 out-neighbors has s + 1 nodes: its
@@ -192,14 +196,15 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     return stats
 
 
-def _walk_waiting(stats, waiting, max_hold, batches) -> None:
-    """Level-walk the waiting roots of each row width, then forget them."""
-    for width, parts in waiting.items():
-        rows, sizes, roots = map(np.concatenate, zip(*parts))
+def _walk_waiting(stats, waiting, max_hold, batches, budget) -> None:
+    """Level-walk the waiting roots of each row width, forgetting each
+    width's parts once they are joined."""
+    for width in list(waiting):
+        rows, sizes, roots = map(np.concatenate, zip(*waiting.pop(width)))
         sink = None if batches is None else (
             lambda at, hold, pivots: batches.add(roots[at], hold, pivots))
-        walk_levels(stats, rows.reshape(-1, width), sizes, max_hold, sink)
-    waiting.clear()
+        walk_levels(stats, rows.reshape(-1, width), sizes, max_hold, sink,
+                    budget)
 
 
 def walk_root(stats: TraversalStats, root: int, members: list[int],
@@ -281,7 +286,8 @@ def walk_root(stats: TraversalStats, root: int, members: list[int],
 
 
 def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
-                max_hold: int | None = None, sink=None) -> None:
+                max_hold: int | None = None, sink=None,
+                budget: int = LEVEL_WORDS) -> None:
     """Walk the subtrees of many roots' hold links at once, level by level.
 
     ``sizes`` are the roots' out-degrees, all with rows of the same number
@@ -294,8 +300,9 @@ def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
     ``sink``, nodes also carry the hold and the pivot links of their path
     below the root, as bits over the root's members (W words each), and
     ``sink(root, hold, pivots)`` receives each batch's leaves. A level is
-    walked in batches (``_walk_batch``) of at most ``LEVEL_WORDS`` words
-    of members' rows, and their children make the next level. Once that
+    walked in batches (``_walk_batch``) of at most ``budget`` words of
+    members' rows (``walk_roots`` passes min(``LEVEL_WORDS``, m //
+    ``LEVEL_SHARE``)), and their children make the next level. Once that
     holds ``LEVEL_NODES`` nodes, the rest of the level waits on a stack
     and the next level is walked first, deepest slice first, so a wide
     tree never holds a whole level.
@@ -317,7 +324,7 @@ def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
         room = LEVEL_NODES
         while done < len(cost) and room > 0:
             spent = cost[done - 1] if done else 0
-            stop = max(done + 1, int(np.searchsorted(cost, spent + LEVEL_WORDS,
+            stop = max(done + 1, int(np.searchsorted(cost, spent + budget,
                                                      "right")))
             below.append(_walk_batch(stats, rows, depth,
                                      [x[done:stop] for x in nodes], first,

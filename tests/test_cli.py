@@ -424,10 +424,19 @@ def test_local_text_matches_reference_formatter(write_chunk, carried,
             table.planes[1] -= 1
     assert _csv_reference(tables) == want_csv
     got = []
-    for write in (cli._write_per_vertex_csv, cli._write_per_edge_csv):
+    for write, want in zip((cli._write_per_vertex_csv,
+                            cli._write_per_edge_csv), want_csv):
         out = io.StringIO()
         write(tables, out)
         got.append(out.getvalue())
+        # A file with a binary buffer gets the lines as bytes, in order
+        # with the text written around them.
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        out.write("# before\n")
+        write(tables, out)
+        out.write("# after\n")
+        out.flush()
+        assert out.buffer.getvalue() == f"# before\n{want}# after\n".encode()
     assert tuple(got) == want_csv
     out = io.StringIO()
     cli._write_json(graph, tables, out)
@@ -449,10 +458,10 @@ def test_decimal_formatter_matches_str():
                           for j in range(2)]
                          + [[v >> 2 * bits for v in chosen]], dtype=np.int64)
         text = cli._lines(cli._words(counting.decimal_groups(limbs)))
-        assert text == "".join(f"{v}\n" for v in chosen)
+        assert text == "".join(f"{v}\n" for v in chosen).encode()
     small = np.array([0, 7, 10 ** 4, 10 ** 12 + 5, 2 ** 63 - 1])
     assert cli._lines(cli._number_words(small)) == "".join(
-        f"{v}\n" for v in small.tolist())
+        f"{v}\n" for v in small.tolist()).encode()
 
 
 def test_fast_counters_local_k70_exit_code(capsys, tmp_path):
