@@ -8,7 +8,8 @@ per-vertex, and per-edge clique counts off the leaves. See
 """
 
 from .counting import CountTables, LeafBatches, count, pascal_rows
-from .degeneracy import DegeneracyOrientation, degeneracy_orient, degeneracy_stats
+from .degeneracy import (DegeneracyOrientation, core_numbers, degeneracy_orient,
+                         degeneracy_stats)
 from .errors import (CliqueCountError, CountCheckError, CounterOverflowError,
                      EdgeListParseError, SizeLimitError)
 from .graph import Graph, edge_list_text, load_edge_list, write_edge_list
@@ -34,6 +35,7 @@ __all__ = [
     "SizeLimitError",
     "TraversalStats",
     "compare",
+    "core_numbers",
     "count",
     "count_global_parallel",
     "degeneracy_orient",

@@ -1,15 +1,24 @@
 """Degeneracy ordering, core numbers, and the low-out-degree orientation.
 
-The ordering repeatedly removes a vertex of minimum residual degree,
-breaking ties toward the lowest dense id. Orienting every edge from
-earlier to later in this order bounds each out-neighborhood by the
-degeneracy alpha, which is what keeps the clique-tree subproblems small.
+Two computations live here, and each command runs only the one it reads.
 
-The peel keeps one level per residual degree. Levels at or below the
+``degeneracy_orient`` is the ordering that counting needs. It repeatedly
+removes a vertex of minimum residual degree, breaking ties toward the
+lowest dense id. Orienting every edge from earlier to later in this
+order bounds each out-neighborhood by the degeneracy alpha, which is
+what keeps the clique-tree subproblems small. ``count``, ``verify`` and
+``inspect-sct`` run it: the clique tree, and so every tree dump and the
+report's tree shape, follows this exact order, so it stays a sequential
+peel. It keeps one level per residual degree. Levels at or below the
 running core are min-heaps of ids; levels above it are plain lists,
 turned into heaps only when the core rises to them, which all rises
 together do in O(n + m). Nothing is removed from above the core, so the
-lists change the work and not the order (see ``degeneracy_orient``).
+lists change the work and not the order.
+
+``core_numbers`` gives the core numbers alone, which fix alpha and the
+innermost core but not the order. It peels level by level in numpy
+rounds that need no tie-break, in O(n + m) array work plus a constant
+per round. ``stats`` runs only this.
 """
 
 from __future__ import annotations
@@ -157,6 +166,8 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
         if d:
             d -= 1
     alpha = core
+    # The tail's m-sized arrays need not share the peak with these lists.
+    del deg, levels, vertex, bounds
 
     order_arr = np.asarray(order, dtype=np.int32)
     rank_arr = np.empty(n, dtype=np.int32)
@@ -178,6 +189,75 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     np.cumsum(counts, out=out_offsets[1:])
     return DegeneracyOrientation(n, order, rank_arr.tolist(), alpha,
                                  core_arr.tolist(), out_offsets, out_targets)
+
+
+# Frontiers smaller than this are peeled in a Python loop. A numpy round
+# costs some 40 microseconds however few vertices it removes, the loop
+# about one per vertex of a path; at 8, four disjoint 50,000-vertex paths
+# (rounds of eight) took 1.1 s, at 32 no set of paths took over 0.26 s.
+SMALL_ROUND = 32
+
+
+def core_numbers(graph: Graph) -> np.ndarray:
+    """Core number of every vertex of ``graph``, as an int64 array.
+
+    Level-synchronous peeling, as in PKC (Kabir and Madduri, 2017). At
+    level k, the live vertices of degree at most k are removed in rounds:
+    each round lowers the degrees of the frontier's live neighbours, and
+    those that fall to k form the next frontier. The degree array itself
+    becomes the result, since a removed vertex's entry is set to its level
+    and no later level decrements an entry at or below it.
+
+    Each level scans only the live vertices, kept as a compacted index
+    array; a vertex is live at no more than core(v) + 1 <= deg(v) + 1
+    levels, so the scans total at most n + 2m. A round gathers its
+    frontier's neighbours and applies all of their decrements with one
+    ``np.unique``, except that a frontier of fewer than ``SMALL_ROUND``
+    vertices (a long path peels two at a time) is walked in Python.
+    """
+    offsets = graph._offsets
+    neighbors = graph._neighbors
+    core = np.diff(offsets)
+    # Buffer views index to Python ints, for the small rounds.
+    core_at = memoryview(core)
+    bound_at = memoryview(offsets)
+    neighbors_at = memoryview(neighbors)
+    live = np.arange(graph.n, dtype=np.int32)
+    k = -1
+    while True:
+        level = core[live]
+        above = level > k
+        live = live[above]
+        if not len(live):
+            return core
+        level = level[above]
+        k = int(level.min())
+        frontier = live[level == k]
+        while len(frontier):
+            if len(frontier) < SMALL_ROUND:
+                following = []
+                for v in frontier:
+                    core_at[v] = k
+                    for u in neighbors_at[bound_at[v]:bound_at[v + 1]]:
+                        du = core_at[u]
+                        if du > k:
+                            core_at[u] = du - 1
+                            if du == k + 1:
+                                following.append(u)
+                frontier = following
+                continue
+            frontier = np.asarray(frontier, dtype=np.int32)
+            core[frontier] = k
+            starts = offsets[frontier]
+            lengths = offsets[frontier + 1] - starts
+            ends = np.cumsum(lengths)
+            touched = neighbors[np.repeat(starts - ends + lengths, lengths)
+                                + np.arange(ends[-1])]
+            touched, hits = np.unique(touched[core[touched] > k],
+                                      return_counts=True)
+            left = core[touched] - hits
+            core[touched] = left
+            frontier = touched[left <= k]
 
 
 def degeneracy_stats(orientation: DegeneracyOrientation) -> dict:

@@ -281,6 +281,24 @@ def test_stats_subcommand(capsys, triangle_file):
     assert doc["max_core_size"] == 3
 
 
+def test_stats_builds_no_orientation(capsys, tmp_path, monkeypatch):
+    g = random_gnp(60, 0.2, 11)
+    path = write_graph(tmp_path, g)
+    want = cli.degeneracy_orient(g)
+
+    def refuse(graph):
+        raise AssertionError("stats must not build the orientation")
+
+    monkeypatch.setattr(cli, "degeneracy_orient", refuse)
+    code, out, _ = run_cli(capsys, "stats", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["m"]) == (g.n, g.m)
+    assert (doc["alpha"], doc["max_core_size"]) == \
+        (want.alpha, want.max_core_size())
+    assert set(doc["times"]) == {"load_s", "core_s"}
+
+
 def test_inspect_sct_text(capsys, tmp_path):
     path = tmp_path / "edge.txt"
     path.write_text("0 1\n")

@@ -1,9 +1,12 @@
 import math
+import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from cliquecount import Graph, degeneracy_orient, degeneracy_stats
+from cliquecount import Graph, core_numbers, degeneracy, degeneracy_orient, \
+    degeneracy_stats
 
 from conftest import (complete_graph, cycle_graph, empty_graph, path_graph,
                       quadratic_peel, random_gnp, star_graph)
@@ -73,17 +76,17 @@ def test_orientation_invariants_random(seed):
     assert covered == g.m
 
 
-def staircase_graph() -> Graph:
-    """Disjoint K2 ... K8, then a 30-vertex path: the whole path goes at
-    core 1, then the core rises once per clique, through a level 2 that
-    still lists the path's removed vertices."""
+def staircase_graph(top: int = 8, tail: int = 30) -> Graph:
+    """Disjoint K2 ... Ktop, then a ``tail``-vertex path: the whole path
+    goes at core 1, then the core rises once per clique, through a level 2
+    that still lists the path's removed vertices."""
     edges, base = [], 0
-    for size in range(2, 9):
+    for size in range(2, top + 1):
         edges += [(base + i, base + j)
                   for i in range(size) for j in range(i + 1, size)]
         base += size
-    edges += [(base + i, base + i + 1) for i in range(29)]
-    return Graph.from_edges(edges, n=base + 30)
+    edges += [(base + i, base + i + 1) for i in range(tail - 1)]
+    return Graph.from_edges(edges, n=base + tail)
 
 
 @pytest.mark.parametrize(
@@ -98,18 +101,59 @@ def test_order_matches_quadratic_peeler(g):
     assert o.order == ref_order
 
 
+def networkx_cores(g: Graph) -> list[int]:
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    cores = nx.core_number(gx)
+    return [cores[v] for v in range(g.n)]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_core_numbers_match_networkx(seed):
     g = random_gnp(25, 0.3, 2000 + seed)
-    o = degeneracy_orient(g)
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n))
-    gx.add_edges_from((u, v) for u, v in g.edges())
-    expected = nx.core_number(gx)
-    assert {v: o.core_numbers[v] for v in range(g.n)} == expected
+    assert degeneracy_orient(g).core_numbers == networkx_cores(g)
 
 
 def test_rank_is_inverse_of_order():
     g = random_gnp(20, 0.4, 99)
     o = degeneracy_orient(g)
     assert [o.rank[v] for v in o.order] == list(range(g.n))
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges([(v, rng.randrange(v)) for v in range(1, n)], n=n)
+
+
+CORE_GRAPHS = {
+    "empty": empty_graph(0),
+    "isolated": empty_graph(7),
+    "star": star_graph(100),
+    "K30": complete_graph(30),
+    "tree": random_tree(3000, 7),
+    "staircase": staircase_graph(12, 50),
+    "path5000": path_graph(5000),
+}
+
+
+# A threshold of 1 peels every round in numpy, one of 10**9 every round in
+# Python; the default mixes them (the path's rounds hold two vertices).
+@pytest.mark.parametrize("small_round", [1, degeneracy.SMALL_ROUND, 10 ** 9],
+                         ids=["numpy", "default", "python"])
+@pytest.mark.parametrize("name", CORE_GRAPHS)
+def test_core_numbers_match_peel_and_networkx(name, small_round, monkeypatch):
+    monkeypatch.setattr(degeneracy, "SMALL_ROUND", small_round)
+    g = CORE_GRAPHS[name]
+    cores = core_numbers(g)
+    assert cores.dtype == np.int64 and cores.shape == (g.n,)
+    assert cores.tolist() == degeneracy_orient(g).core_numbers
+    assert cores.tolist() == networkx_cores(g)
+
+
+def test_core_numbers_leave_the_graph_alone():
+    g = staircase_graph(12, 50)
+    offsets, neighbors = g._offsets.copy(), g._neighbors.copy()
+    core_numbers(g)
+    assert np.array_equal(g._offsets, offsets)
+    assert np.array_equal(g._neighbors, neighbors)

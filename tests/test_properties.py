@@ -1,4 +1,5 @@
-"""Hypothesis property tests of the peel and the global and local counts."""
+"""Hypothesis property tests of the peel, the core numbers and the global and
+local counts."""
 
 import itertools
 import math
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cliquecount import (Graph, count, degeneracy_orient, pascal_rows, sct,
-                         traverse)
+from cliquecount import (Graph, core_numbers, count, degeneracy,
+                         degeneracy_orient, pascal_rows, sct, traverse)
 from cliquecount.counting import count_roots_global, global_tables
 
 from conftest import quadratic_peel
@@ -111,6 +112,18 @@ def test_peel_matches_quadratic_peel_on_ties(g):
     gx.add_edges_from(g.edges())
     cores = nx.core_number(gx)
     assert o.core_numbers == [cores[v] for v in range(g.n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), tie_heavy_graphs()))
+def test_core_numbers_match_the_peel(g):
+    want = degeneracy_orient(g).core_numbers
+    assert core_numbers(g).tolist() == want
+    # These graphs are small enough for the Python rounds; a threshold of 1
+    # sends every round through numpy.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(degeneracy, "SMALL_ROUND", 1)
+        assert core_numbers(g).tolist() == want
 
 
 @settings(max_examples=80, deadline=None)
