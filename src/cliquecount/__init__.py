@@ -15,9 +15,9 @@ import importlib
 _HOMES = {
     "counting": ("CountTables", "LeafBatches", "count", "pascal_rows"),
     "degeneracy": ("DegeneracyOrientation", "core_numbers",
-                   "degeneracy_orient", "degeneracy_stats"),
+                   "degeneracy_orient"),
     "errors": ("CliqueCountError", "CountCheckError", "CounterOverflowError",
-               "EdgeListParseError", "SizeLimitError"),
+               "EdgeListParseError", "SizeLimitError", "WorkerCrashError"),
     "graph": ("Graph", "edge_list_text", "load_edge_list", "write_edge_list"),
     "oracle": ("CliqueCensus", "compare", "enumerate_all_cliques"),
     "parallel": ("count_global_parallel",),
@@ -42,12 +42,12 @@ __all__ = [
     "SctNode",
     "SizeLimitError",
     "TraversalStats",
+    "WorkerCrashError",
     "compare",
     "core_numbers",
     "count",
     "count_global_parallel",
     "degeneracy_orient",
-    "degeneracy_stats",
     "edge_list_text",
     "enumerate_all_cliques",
     "load_edge_list",

@@ -9,9 +9,9 @@ Subcommands:
 Counts go to stdout or --output as CSV (default) or JSON; the run report
 (sizes, degeneracy, clique-tree shape, per-phase wall times) goes to
 stderr or --report as JSON. Exit codes: 0 success, 1 runtime failure
-(input file missing or unreadable, parse error, size cap, counter
-overflow, a failed count self-check), 2 usage error, 3 verification
-mismatch.
+(input file missing, unreadable or a truncated or corrupt gzip file,
+parse error, size cap, counter overflow, a failed count self-check, a
+worker process that died), 2 usage error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import zlib
 from itertools import groupby
 from operator import itemgetter
 
@@ -50,8 +51,11 @@ def _load(path: str) -> Graph:
             # Bytes, so that a line that is not UTF-8 is reported by number.
             return load_edge_list(getattr(sys.stdin, "buffer", sys.stdin))
         return load_edge_list(path)
-    except OSError as exc:
-        raise CliqueCountError(f"{path}: {exc.strerror or exc}") from None
+    except (OSError, EOFError, zlib.error) as exc:
+        # gzip raises EOFError for a truncated file and zlib.error for a
+        # corrupt stream; neither is an OSError.
+        reason = getattr(exc, "strerror", None) or exc
+        raise CliqueCountError(f"{path}: {reason}") from None
 
 
 def _write_global_csv(tables, out) -> None:

@@ -13,7 +13,9 @@ peel. It keeps one level per residual degree. Levels at or below the
 running core are min-heaps of ids; levels above it are plain lists,
 turned into heaps only when the core rises to them, which all rises
 together do in O(n + m). Nothing is removed from above the core, so the
-lists change the work and not the order.
+lists change the work and not the order. The result keeps only arrays:
+the order (int32), the core numbers (int64) and the out-CSR; there is no
+rank array, since the count reads only the out-CSR.
 
 ``core_numbers`` gives the core numbers alone, which fix alpha and the
 innermost core but not the order. It peels level by level in numpy
@@ -34,24 +36,26 @@ class DegeneracyOrientation:
     """Removal order plus the induced acyclic orientation of a Graph.
 
     Attributes:
-        order: vertex ids in removal order.
-        rank: inverse permutation of ``order``.
+        order: int32 array of the vertex ids in removal order.
         alpha: graph degeneracy; equals the maximum out-degree and the
             maximum core number.
-        core_numbers: per-vertex core value.
+        core_numbers: int64 array of each vertex's core number.
+        out_offsets, out_targets: the out-CSR. Vertex v's out-neighbors,
+            the neighbors that come later in the order, are
+            ``out_targets[out_offsets[v]:out_offsets[v + 1]]``, sorted
+            ascending by id.
 
-    ``out_neighbors[v]`` lists the neighbors of v that come later in the
-    order, sorted ascending by id. The orientation is immutable; build it
-    once and share it freely across threads or worker processes.
+    ``out_neighbors[v]`` lists the same out-neighbors as Python ints. The
+    orientation is immutable; build it once and share it freely across
+    threads or worker processes.
     """
 
-    __slots__ = ("n", "order", "rank", "alpha", "core_numbers",
+    __slots__ = ("n", "order", "alpha", "core_numbers",
                  "out_offsets", "out_targets", "_out_lists")
 
-    def __init__(self, n, order, rank, alpha, core_numbers, out_offsets, out_targets):
+    def __init__(self, n, order, alpha, core_numbers, out_offsets, out_targets):
         self.n = n
         self.order = order
-        self.rank = rank
         self.alpha = alpha
         self.core_numbers = core_numbers
         self.out_offsets = out_offsets
@@ -74,9 +78,12 @@ class DegeneracyOrientation:
 
     def max_core_size(self) -> int:
         """Number of vertices whose core number equals alpha."""
-        if self.n == 0:
-            return 0
-        return int(np.count_nonzero(np.asarray(self.core_numbers) == self.alpha))
+        return int(np.count_nonzero(self.core_numbers == self.alpha))
+
+
+# The orientation's out-CSR is filled from slices of the graph's CSR of
+# about this many entries, which bounds the tail's temporaries.
+TAIL_SLICE = 1 << 16
 
 
 def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
@@ -105,26 +112,29 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     minimum degree first, lowest id on ties. The core is the running
     maximum of removal-time degrees, so core numbers are read from the
     positions at which it rose.
+
+    A vertex's out-degree is its residual degree when it is removed, so
+    the out-CSR's offsets are known when the peel ends; its targets are
+    then filtered by rank from ``TAIL_SLICE``-sized slices of the CSR.
     """
     n = graph.n
-    if n == 0:
-        return DegeneracyOrientation(
-            0, [], [], 0, [],
-            np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32))
     offsets = graph._offsets
     neighbors = graph._neighbors
-    degrees = np.diff(offsets)
-    deg = degrees.tolist()
+    deg = np.diff(offsets).tolist()
     # Levels hold these ints rather than the fresh ones of each tolist(),
     # so stale entries keep no int of their own alive.
     vertex = list(range(n))
-    levels = [[] for _ in range(max(deg) + 1)]
+    levels = [[] for _ in range(max(deg, default=0) + 1)]
     for v, d in zip(vertex, deg):
         levels[d].append(v)
-    bounds = offsets.tolist()
+    # Buffer views index to and store Python ints.
+    bound_at = memoryview(offsets)
+    order = np.empty(n, dtype=np.int32)
+    order_at = memoryview(order)
+    out_offsets = np.zeros(n + 1, dtype=np.int64)
+    out_degree_at = memoryview(out_offsets[1:])
     push = heapq.heappush
     pop = heapq.heappop
-    order: list[int] = []
     rise_at = [0]
     rise_to = [0]
     core = 0
@@ -153,8 +163,9 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
                     break
         # A removed vertex keeps degree -1, so no level entry matches it.
         deg[v] = -1
-        order.append(v)
-        for u in neighbors[bounds[v]:bounds[v + 1]].tolist():
+        order_at[position] = v
+        out_degree_at[v] = d
+        for u in neighbors[bound_at[v]:bound_at[v + 1]].tolist():
             du = deg[u]
             if du > 0:
                 du -= 1
@@ -166,29 +177,27 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
         if d:
             d -= 1
     alpha = core
-    # The tail's m-sized arrays need not share the peak with these lists.
-    del deg, levels, vertex, bounds
+    # The lists need not share the peak with the tail's arrays.
+    del deg, levels, vertex
 
-    order_arr = np.asarray(order, dtype=np.int32)
-    rank_arr = np.empty(n, dtype=np.int32)
-    rank_arr[order_arr] = np.arange(n, dtype=np.int32)
-    core_arr = np.empty(n, dtype=np.int64)
-    core_arr[order_arr] = np.repeat(rise_to, np.diff(rise_at + [n]))
-
-    # Orient edges toward higher rank; CSR rows are id-sorted already, so
-    # filtering preserves the ascending order the traversal relies on.
-    if len(neighbors):
-        row_of = np.repeat(np.arange(n, dtype=np.int32), degrees)
-        keep = rank_arr[neighbors] > rank_arr[row_of]
-        out_targets = np.ascontiguousarray(neighbors[keep])
-        counts = np.bincount(row_of[keep], minlength=n)
-    else:
-        out_targets = np.empty(0, dtype=np.int32)
-        counts = np.zeros(n, dtype=np.int64)
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_offsets[1:])
-    return DegeneracyOrientation(n, order, rank_arr.tolist(), alpha,
-                                 core_arr.tolist(), out_offsets, out_targets)
+    core_numbers = np.empty(n, dtype=np.int64)
+    core_numbers[order] = np.repeat(rise_to, np.diff(rise_at + [n]))
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    np.cumsum(out_offsets, out=out_offsets)
+    # Keep the edges toward higher rank. CSR rows are id-sorted already,
+    # so filtering preserves the ascending order the traversal relies on.
+    out_targets = np.empty(int(out_offsets[-1]), dtype=np.int32)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, bound_at[lo] + TAIL_SLICE, side="right")) - 1)
+        ahead = neighbors[bound_at[lo]:bound_at[hi]]
+        keep = rank[ahead] > np.repeat(rank[lo:hi], np.diff(offsets[lo:hi + 1]))
+        out_targets[out_offsets[lo]:out_offsets[hi]] = ahead[keep]
+        lo = hi
+    return DegeneracyOrientation(n, order, alpha, core_numbers,
+                                 out_offsets, out_targets)
 
 
 # Frontiers smaller than this are peeled in a Python loop. A numpy round
@@ -259,11 +268,3 @@ def core_numbers(graph: Graph) -> np.ndarray:
             core[touched] = left
             frontier = touched[left <= k]
 
-
-def degeneracy_stats(orientation: DegeneracyOrientation) -> dict:
-    """Read-only summary: degeneracy, innermost-core size, removal order."""
-    return {
-        "alpha": orientation.alpha,
-        "max_core_size": orientation.max_core_size(),
-        "order": list(orientation.order),
-    }

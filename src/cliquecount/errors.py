@@ -30,3 +30,11 @@ class CounterOverflowError(CliqueCountError):
 
 class CountCheckError(CliqueCountError):
     """A finished count disagrees with a total known before the walk."""
+
+
+class WorkerCrashError(CliqueCountError):
+    """A worker process of a forked count died before returning its batch."""
+
+    def __init__(self, message="a worker process died before its roots were "
+                               "counted (killed, or out of memory)"):
+        super().__init__(message)

@@ -40,6 +40,8 @@ def _wide_spaces() -> list[bytes]:
 # Inputs are checked and keyed this many bytes at a time, rounded up to
 # the end of a line, which bounds the tokenizer's temporaries to a few MB.
 _CHUNK_BYTES = 1 << 17
+# Dense ids are assigned this many keys at a time, in sort order.
+_ID_SLICE = 1 << 14
 # A key word of eight spaces; _LOW_BYTES[r] keeps the first r bytes of a
 # little-endian word.
 _SPACES = np.uint64(0x2020202020202020)
@@ -311,23 +313,32 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct rows in that order.
 
     One sort groups equal rows; a group's first appearance is the least
-    input position in it, so the sort need not be stable.
+    input position in it, so the sort need not be stable. The group
+    starts and the ids are found in slices of the sort order, so that
+    neither a sorted copy of the keys nor a group number per key is kept
+    beside it.
     """
     order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
-    ordered = keys[order]
+    # Half the size, for all but inputs of over 2^31 labels.
+    if len(order) <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    del ordered
+    for lo in range(1, len(order), _ID_SLICE):
+        run = keys[order[lo - 1:lo + _ID_SLICE]]
+        new[lo:lo + _ID_SLICE] = (run[1:] != run[:-1]).any(axis=1)
     first = np.minimum.reduceat(order, np.flatnonzero(new))
     by_appearance = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int32)
     rank[by_appearance] = np.arange(len(first))
-    group = np.cumsum(new, dtype=np.int32)
-    del new
-    group -= 1
-    group = rank[group]
     ids = np.empty(len(order), dtype=np.int32)
-    ids[order] = group
+    group = -1
+    for lo in range(0, len(order), _ID_SLICE):
+        # Native-width indices take numpy's fast path: a quarter faster
+        # than scattering through int32 ones.
+        groups = np.cumsum(new[lo:lo + _ID_SLICE], dtype=np.intp)
+        groups += group
+        group = int(groups[-1])
+        ids[order[lo:lo + _ID_SLICE].astype(np.intp)] = rank[groups]
     return ids, keys[first[by_appearance]]
 
 

@@ -13,19 +13,23 @@ for any worker count and any scheduling order.
 ``count_global_parallel`` is the one global count. With one worker, or
 where fork is unavailable, it counts all roots as one batch in this
 process. With more, it maps the same call over batches of roots in a
-fork pool. Workers inherit the orientation's out-CSR arrays by forking,
-so nothing large is pickled and nothing is built before the fork. Local
-(per-vertex, per-edge) counting is deliberately not parallelized.
+fork pool of at most as many processes as this process may run on.
+Workers inherit the orientation's out-CSR arrays by forking, so nothing
+large is pickled and nothing is built before the fork. A worker that
+dies ends the count with ``WorkerCrashError``. Local (per-vertex,
+per-edge) counting is deliberately not parallelized.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 
 import numpy as np
 
 from . import counting
 from .degeneracy import DegeneracyOrientation
+from .errors import WorkerCrashError
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -42,6 +46,13 @@ def _count_batch(roots):
     return counting.count_roots_global(orientation, roots, max_hold)
 
 
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity mask
+
+
 def _root_batches(orientation: DegeneracyOrientation, n_batches: int):
     """Stripe roots, heaviest first, so batch loads stay balanced."""
     by_cost = np.argsort(-orientation.out_degrees(), kind="stable")
@@ -54,16 +65,22 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
     """Global-only counts with root subproblems fanned across workers.
 
     Bit-identical for every ``workers`` value; the batches' shapes are
-    merged only after all of them are counted.
+    merged only after all of them are counted. ``workers`` is capped at
+    the number of usable CPUs; more than one forks a pool of that many
+    processes, which count ``BATCHES_PER_WORKER`` batches each (fewer
+    for a graph of fewer vertices). A worker that dies, killed or out of
+    memory, raises ``WorkerCrashError``.
     """
     global _SHARED
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, _usable_cores())
     context = None
     if workers > 1:
-        # Imported only to fork: a one-worker count loads neither.
+        # Imported only to fork: a one-worker count loads none of them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platform
@@ -75,9 +92,13 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
         else:
             batches = _root_batches(
                 orientation, min(graph.n, workers * BATCHES_PER_WORKER))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                parts = list(pool.map(_count_batch, batches))
+            try:
+                with ProcessPoolExecutor(
+                        max_workers=min(workers, len(batches)) or 1,
+                        mp_context=context) as pool:
+                    parts = list(pool.map(_count_batch, batches))
+            except BrokenProcessPool:
+                raise WorkerCrashError() from None
     finally:
         _SHARED = None
     return counting.global_tables(graph, orientation.alpha, parts, max_k)

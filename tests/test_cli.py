@@ -1,3 +1,4 @@
+import gzip
 import io
 import itertools
 import json
@@ -151,6 +152,28 @@ def test_input_file_errors_are_one_line(tmp_path, case, reason):
     assert lines[0].startswith("error: ") and reason in lines[0]
     if case != "not-utf8":
         assert lines[0] == f"error: {path}: {reason}"
+
+
+# A gzip header and a deflate block of the reserved type 3, which zlib
+# rejects: gzip passes its zlib.error on.
+_BAD_DEFLATE = bytes([0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff, 0x07]) + bytes(16)
+
+
+@pytest.mark.parametrize("damage,reason", [
+    ("truncated",
+     "Compressed file ended before the end-of-stream marker was reached"),
+    ("corrupt", "Error -3 while decompressing data: invalid block type"),
+])
+@pytest.mark.parametrize("command", ["count", "stats", "verify"])
+def test_damaged_gzip_input_is_one_line(capsys, tmp_path, command, damage,
+                                        reason):
+    path = tmp_path / f"{damage}.txt.gz"
+    whole = gzip.compress(edge_list_text(complete_graph(6)).encode())
+    path.write_bytes(whole[:20] if damage == "truncated" else _BAD_DEFLATE)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("stdin,line", [

@@ -5,8 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from cliquecount import Graph, core_numbers, degeneracy, degeneracy_orient, \
-    degeneracy_stats
+from cliquecount import Graph, core_numbers, degeneracy, degeneracy_orient
 
 from conftest import (complete_graph, cycle_graph, empty_graph, path_graph,
                       quadratic_peel, random_gnp, star_graph)
@@ -26,35 +25,44 @@ def test_complete_graph_out_degrees_descend_along_order():
     n = 7
     o = degeneracy_orient(complete_graph(n))
     assert o.alpha == n - 1
-    assert [o.out_degree(v) for v in o.order] == list(range(n - 1, -1, -1))
+    assert [o.out_degree(v) for v in o.order.tolist()] == list(range(n - 1, -1, -1))
 
 
 def test_star_has_degeneracy_one():
     o = degeneracy_orient(star_graph(10))
-    assert degeneracy_stats(o)["alpha"] == 1
+    assert o.alpha == 1
 
 
 def test_k4_stats():
-    stats = degeneracy_stats(degeneracy_orient(complete_graph(4)))
-    assert stats["alpha"] == 3
-    assert stats["max_core_size"] == 4
-    assert sorted(stats["order"]) == [0, 1, 2, 3]
+    o = degeneracy_orient(complete_graph(4))
+    assert o.alpha == 3
+    assert o.max_core_size() == 4
+    assert sorted(o.order.tolist()) == [0, 1, 2, 3]
+
+
+def test_orientation_fields_are_arrays():
+    o = degeneracy_orient(random_gnp(15, 0.4, 5))
+    assert o.order.dtype == np.int32 and o.order.shape == (15,)
+    assert o.core_numbers.dtype == np.int64 and o.core_numbers.shape == (15,)
+    assert not hasattr(o, "rank")
 
 
 def test_empty_graph():
     o = degeneracy_orient(empty_graph(0))
     assert o.alpha == 0
-    assert o.order == []
-    assert degeneracy_stats(o)["max_core_size"] == 0
+    assert o.order.tolist() == []
+    assert o.core_numbers.tolist() == []
+    assert o.out_offsets.tolist() == [0] and o.out_targets.tolist() == []
+    assert o.max_core_size() == 0
 
 
 def test_isolated_vertices_ordered_first():
     # a triangle 1-2-4 with a pendant 6; 0, 3, 5 and 7 are isolated
     g = Graph.from_edges([(4, 1), (2, 4), (1, 2), (6, 4)], n=8)
     o = degeneracy_orient(g)
-    assert o.order[:4] == [0, 3, 5, 7]
+    assert o.order[:4].tolist() == [0, 3, 5, 7]
     assert [o.core_numbers[v] for v in (0, 3, 5, 7)] == [0, 0, 0, 0]
-    assert o.order == quadratic_peel(g)[0]
+    assert o.order.tolist() == quadratic_peel(g)[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -66,10 +74,11 @@ def test_orientation_invariants_random(seed):
     assert o.alpha == max(o.core_numbers, default=0)
     if g.m:
         assert o.alpha <= math.sqrt(2 * g.m)
+    rank = {v: i for i, v in enumerate(o.order.tolist())}
     covered = 0
     for v in range(g.n):
         for u in o.out_neighbors[v]:
-            assert o.rank[u] > o.rank[v], "orientation must be acyclic"
+            assert rank[u] > rank[v], "orientation must be acyclic"
         ins = [u for u in range(g.n) if v in o.out_neighbors[u]]
         assert sorted(o.out_neighbors[v] + ins) == sorted(map(int, g.neighbors(v)))
         covered += len(o.out_neighbors[v])
@@ -98,7 +107,7 @@ def test_order_matches_quadratic_peeler(g):
     assert o.alpha == ref_alpha
     # both implementations use the lowest-id tie-break, so even the order
     # must agree, not just alpha
-    assert o.order == ref_order
+    assert o.order.tolist() == ref_order
 
 
 def networkx_cores(g: Graph) -> list[int]:
@@ -112,13 +121,45 @@ def networkx_cores(g: Graph) -> list[int]:
 @pytest.mark.parametrize("seed", range(8))
 def test_core_numbers_match_networkx(seed):
     g = random_gnp(25, 0.3, 2000 + seed)
-    assert degeneracy_orient(g).core_numbers == networkx_cores(g)
+    assert degeneracy_orient(g).core_numbers.tolist() == networkx_cores(g)
 
 
-def test_rank_is_inverse_of_order():
-    g = random_gnp(20, 0.4, 99)
+def out_csr_of(g: Graph, order: list[int]):
+    """The out-CSR that orienting ``g`` along ``order`` gives, built edge
+    by edge: each vertex's neighbors that come later, ascending."""
+    rank = {v: i for i, v in enumerate(order)}
+    rows = [sorted(u for u in map(int, g.neighbors(v)) if rank[u] > rank[v])
+            for v in range(g.n)]
+    offsets = [0]
+    for row in rows:
+        offsets.append(offsets[-1] + len(row))
+    return offsets, [u for row in rows for u in row]
+
+
+def hub_graph() -> Graph:
+    """A random graph plus a vertex joined to most others, whose row is
+    longer than any small slice."""
+    rng = random.Random(17)
+    edges = {(u, v) for u in range(300) for v in range(u + 1, 300)
+             if rng.random() < 0.03}
+    edges |= {(0, v) for v in range(1, 300) if v % 3}
+    return Graph.from_edges(sorted(edges), n=310)
+
+
+# Slices of one CSR entry, a few rows, and less than the hub's row (about
+# 200 entries), against the default, under which the graph is one slice.
+@pytest.mark.parametrize("tail_slice", [1, 7, 64, degeneracy.TAIL_SLICE])
+def test_out_csr_in_slices_matches_the_reference_order(tail_slice, monkeypatch):
+    monkeypatch.setattr(degeneracy, "TAIL_SLICE", tail_slice)
+    g = hub_graph()
+    assert 2 * g.m > 10 * 64
     o = degeneracy_orient(g)
-    assert [o.rank[v] for v in o.order] == list(range(g.n))
+    ref_order, _ = quadratic_peel(g)
+    assert o.order.tolist() == ref_order
+    offsets, targets = out_csr_of(g, ref_order)
+    assert o.out_offsets.dtype == np.int64 and o.out_targets.dtype == np.int32
+    assert o.out_offsets.tolist() == offsets
+    assert o.out_targets.tolist() == targets
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -147,7 +188,7 @@ def test_core_numbers_match_peel_and_networkx(name, small_round, monkeypatch):
     g = CORE_GRAPHS[name]
     cores = core_numbers(g)
     assert cores.dtype == np.int64 and cores.shape == (g.n,)
-    assert cores.tolist() == degeneracy_orient(g).core_numbers
+    assert cores.tolist() == degeneracy_orient(g).core_numbers.tolist()
     assert cores.tolist() == networkx_cores(g)
 
 

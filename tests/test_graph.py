@@ -239,6 +239,23 @@ def test_loader_matches_a_reference_parser(lines, trailing_newline, chunk_bytes)
     assert g == Graph.from_edges(edges, n=len(id_map))
 
 
+@pytest.mark.parametrize("id_slice", [1, 2, 5, 64, graph_module._ID_SLICE])
+@pytest.mark.parametrize("words", [1, 2])
+def test_dense_ids_in_slices(id_slice, words, monkeypatch):
+    # Runs of equal keys straddle the slices' bounds; the ids must be those
+    # of first appearance, and the distinct rows in that order.
+    monkeypatch.setattr(graph_module, "_ID_SLICE", id_slice)
+    rng = np.random.default_rng(words)
+    keys = rng.integers(0, 40, (500, words)).astype(np.uint64)
+    seen = {}
+    want = [seen.setdefault(tuple(row), len(seen)) for row in keys.tolist()]
+    ids, distinct = graph_module._dense_ids(keys)
+    assert ids.dtype == np.int32 and ids.tolist() == want
+    assert distinct.tolist() == [list(row) for row in seen]
+    ids, distinct = graph_module._dense_ids(keys[:0])
+    assert ids.tolist() == [] and distinct.shape == (0, words)
+
+
 def test_labels_mapped_in_first_appearance_order():
     g = load_edge_list(["b c", "a c"])
     assert g.id_map == {"b": 0, "c": 1, "a": 2}
@@ -248,12 +265,14 @@ def test_labels_mapped_in_first_appearance_order():
 
 def test_load_and_peel_peak_memory_per_line():
     # tracemalloc's peak over loading 50k edge lines, whose labels take two
-    # key words, and then peeling the graph, per input line. Measured with
-    # numpy 2.4 on Python 3.11: 88.2 bytes after the load, 132.2 after the
-    # peel; the bounds add 5%. Building id_map in the load (96.4 and 189.9),
-    # a CSR build that keeps about six int64 entries per edge alive at once
-    # (97.0 after the load) or fresh ints in the peel's levels (155.8 after
-    # the peel) exceed them.
+    # key words, and then its peak over peeling the loaded graph, per input
+    # line. Measured with numpy 2.4 on Python 3.11: 80.3 bytes for the load
+    # and 58.0 for the graph and the peel; the bounds add 5%. Building
+    # id_map in the load (96.4 for the load), a CSR build that keeps about
+    # six int64 entries per edge alive at once (97.0), a sorted copy of the
+    # keys beside their int64 sort order (88.1), fresh ints in the peel's
+    # levels, or the peel's rank list and its m-sized orientation
+    # temporaries (98.9 for the peel) exceed them.
     lines = 50_000
     ends = np.random.default_rng(7).integers(0, 25_000, (lines, 2)).tolist()
     data = "".join(f"vertex-{u}-x vertex-{v}-x\n" for u, v in ends).encode()
@@ -263,12 +282,13 @@ def test_load_and_peel_peak_memory_per_line():
     try:
         graph = load_edge_list(data)
         _, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         degeneracy_orient(graph)
-        _, peak = tracemalloc.get_traced_memory()
+        _, peel_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert load_peak / lines <= 88.2 * 1.05, load_peak / lines
-    assert peak / lines <= 132.2 * 1.05, peak / lines
+    assert load_peak / lines <= 80.3 * 1.05, load_peak / lines
+    assert peel_peak / lines <= 58.0 * 1.05, peel_peak / lines
 
 
 def test_load_accepts_bytes_and_streams(tmp_path):

@@ -1,8 +1,13 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cliquecount import count, count_global_parallel, degeneracy_orient
+from cliquecount import (count, count_global_parallel, degeneracy_orient,
+                         edge_list_text, parallel)
 
 from conftest import complete_graph, empty_graph, random_gnp
 
@@ -17,7 +22,9 @@ def test_workers_one_equals_sequential():
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_worker_count_does_not_change_results(workers):
+def test_worker_count_does_not_change_results(workers, monkeypatch):
+    # As many CPUs as workers, so that each count splits its roots anew.
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: workers)
     g = random_gnp(24, 0.5, 51)
     o = degeneracy_orient(g)
     seq = count(g, orientation=o)
@@ -60,3 +67,76 @@ def test_workers_must_be_positive():
     g = complete_graph(3)
     with pytest.raises(ValueError):
         count_global_parallel(g, degeneracy_orient(g), workers=0)
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps
+    in this process, so that nothing is forked."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, batches):
+        return map(fn, batches)
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+    g = random_gnp(20, 0.5, 54)
+    o = degeneracy_orient(g)
+    tables = count_global_parallel(g, o, workers=10_000)
+    assert tables.global_counts == count(g, orientation=o).global_counts
+    # Fewer vertices, and so fewer batches, than usable CPUs.
+    pair = complete_graph(2)
+    tables = count_global_parallel(pair, degeneracy_orient(pair),
+                                   workers=10_000)
+    assert tables.global_counts == [0, 2, 1]
+    assert RecordingPool.sizes == [3, 2]
+
+
+def test_one_usable_cpu_counts_in_process(monkeypatch):
+    # Nothing is forked: the stand-in pool would record a size.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    g = random_gnp(20, 0.5, 55)
+    o = degeneracy_orient(g)
+    tables = count_global_parallel(g, o, workers=4)
+    assert tables.global_counts == count(g, orientation=o).global_counts
+    assert RecordingPool.sizes == []
+
+
+def test_a_dead_worker_is_one_line(tmp_path):
+    # Every worker of a two-worker pool exits at once, as one killed for
+    # memory would, in a subprocess that the test does not share.
+    path = tmp_path / "k6.txt"
+    path.write_text(edge_list_text(complete_graph(6)))
+    script = (
+        "import os, sys\n"
+        "from cliquecount import cli, parallel\n"
+        "def die(roots):\n"
+        "    os._exit(9)\n"
+        "parallel._count_batch = die\n"
+        "parallel._usable_cores = lambda: 2\n"
+        "sys.exit(cli.main(['count', sys.argv[1], '--threads', '2']))\n")
+    src = os.path.dirname(os.path.dirname(parallel.__file__))
+    result = subprocess.run([sys.executable, "-c", script, str(path)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: a worker process died before its roots were counted "
+        "(killed, or out of memory)"]
