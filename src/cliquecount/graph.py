@@ -6,11 +6,14 @@ first-appearance order), and stores the result as a CSR-style structure:
 an offset array plus one flat, per-vertex-sorted neighbor array. Graphs
 are immutable after construction and safe to share across workers.
 
-Every source is read into memory once as bytes and parsed by numpy with
-no Python loop over lines: in newline-aligned chunks, the whitespace that
+Every source is read in newline-aligned pieces and parsed by numpy with
+no Python loop over lines: in each piece, the whitespace that
 ``str.split()`` separates on gives each label's bounds, a search over the
 newline positions gives its line, and each label becomes a key of
-space-padded 8-byte words. One sort of the keys gives the dense ids. The
+space-padded 8-byte words. Runs of pieces are looked up in a sorted table
+of the distinct keys seen so far, which gives each label its dense id;
+each line's pair of ids then becomes one int64 edge key, and the edge
+keys, their reverses and finally the neighbours share one buffer. The
 graph keeps only the distinct key rows, and ``id_map`` is built from them
 on first read.
 """
@@ -37,15 +40,25 @@ def _wide_spaces() -> list[bytes]:
     return [chr(c).encode() for c in range(128, 0x3001) if chr(c).isspace()]
 
 
-# Inputs are checked and keyed this many bytes at a time, rounded up to
-# the end of a line, which bounds the tokenizer's temporaries to a few MB.
+# Inputs are read, checked and keyed in pieces of about this many bytes,
+# cut at the end of a line, which bounds the tokenizer's temporaries to a
+# few MB.
 _CHUNK_BYTES = 1 << 17
-# Dense ids are assigned this many keys at a time, in sort order.
-_ID_SLICE = 1 << 14
+# The keys of consecutive pieces are looked up together, in runs of at
+# least max(_RUN_LABELS, half the distinct labels seen so far) labels, so
+# that inserting a run's new keys into the sorted table, which copies it,
+# costs at most a few entries per label.
+_RUN_LABELS = 1 << 14
+# The CSR buffer is compacted and narrowed this many entries at a time,
+# which bounds the temporaries.
+_CSR_SLICE = 1 << 16
 # A key word of eight spaces; _LOW_BYTES[r] keeps the first r bytes of a
 # little-endian word.
 _SPACES = np.uint64(0x2020202020202020)
 _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+# An int64 edge key src << 32 | dst, seen as two int32, has dst first on a
+# little-endian machine.
+_LOW_HALF = 0 if np.little_endian else 1
 
 
 class Graph:
@@ -90,14 +103,10 @@ class Graph:
         if n is None:
             n = 1 + max((max(u, v) for u, v in pairs), default=-1)
         n = int(n)
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= n:
-                raise ValueError("vertex id out of range")
-            u, v = arr[:, 0], arr[:, 1]
-        else:
-            u = v = np.empty(0, dtype=np.int64)
-        return cls(n, *_build_csr(n, u, v))
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if len(arr) and (arr.min() < 0 or arr.max() >= n):
+            raise ValueError("vertex id out of range")
+        return cls(n, *_edge_csr(n, _edge_keys(arr[:, 0], arr[:, 1])))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -150,97 +159,145 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _build_csr(n, u, v):
-    """Normalize raw endpoint arrays into sorted CSR adjacency.
-
-    Each edge becomes the int64 key min * n + max; one sort plus a
-    neighbour-inequality mask drops duplicates. The distinct keys and
-    their reverses (max * n + min) fill one array, whose in-place sort
-    orders the rows; a search for each row's first key src * n gives the
-    offsets, and the keys' remainders the neighbours. At most three int64
-    entries per edge are alive at a time.
-    """
+def _edge_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The int64 key min << 32 | max of each pair (u, v), self-loops left
+    out, in a new array that owns its data (``_edge_csr`` grows it)."""
     keep = u != v
-    if n == 0 or not keep.any():
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
-    n = np.int64(n)
-    u, v = u[keep], v[keep]
-    key = np.minimum(u, v, dtype=np.int64)
-    key *= n
-    key += np.maximum(u, v)
-    del u, v, keep
-    key.sort()
-    key = key[np.diff(key, prepend=-1) != 0]
-    half = len(key)
-    both = np.concatenate((key, key))
-    del key
-    reverse, low = both[half:], np.empty(half, dtype=np.int32)
-    np.divmod(reverse, n, out=(low, reverse))
-    reverse *= n
-    reverse += low
-    del low
-    both.sort()
-    offsets = np.searchsorted(both, np.arange(n + 1) * n)
-    np.remainder(both, n, out=both)
-    return offsets, both.astype(np.int32)
+    key = np.minimum(u, v)[keep].astype(np.int64, copy=False)
+    key <<= 32
+    key |= np.maximum(u, v)[keep]
+    return key
 
 
-def _read(source) -> bytes:
-    """The whole input as bytes, with every line ended by "\\n" alone."""
-    if isinstance(source, str) and "\n" not in source and source != "":
-        # A string without a newline (and not empty) is a path; canonical
-        # writer output ends every line with one, so round-trips stay
-        # inline. Files also break lines at "\r\n" and a lone "\r", as
-        # reading them in text mode does.
-        if source.endswith(".gz"):
-            import gzip
-            opener = gzip.open
-        else:
-            opener = open
-        with opener(source, "rb") as fh:
-            data = fh.read()
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return data
-    if isinstance(source, (str, bytes)):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = b"".join(map(_line_bytes, source))
-    return data.encode() if isinstance(data, str) else data
+def _edge_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted CSR adjacency of n vertices, built inside the buffer ``keys``.
 
-
-def _line_bytes(line) -> bytes:
-    line = line.encode() if isinstance(line, str) else line
-    return line if line.endswith(b"\n") else line + b"\n"
-
-
-def _label_keys(data: bytes) -> np.ndarray:
-    """Key rows of the labels of every edge line, in input order.
-
-    Row 2i holds the first label of the i-th edge line, row 2i + 1 its
-    second. The chunks' keys are widened to the widest with spaces.
-    Each chunk's keys go straight into one array with room for two labels
-    a line, whose rows past the last label are never written.
+    ``keys`` holds the key lo << 32 | hi of every edge (lo < hi, in any
+    order, repeats allowed) and must own its data. It is sorted and its
+    repeats are dropped; it then grows to hold each distinct key's
+    reverse hi << 32 | lo as well, and one more sort puts every row's
+    keys together, in neighbour order. A search for each row's first key
+    gives the offsets, and the keys' low halves, narrowed to int32 in
+    place, are the neighbours, to which the buffer then shrinks. Apart
+    from the offsets, no temporary exceeds ``_CSR_SLICE`` entries.
     """
-    keys = np.empty((2 * data.count(b"\n") + 2, 1), dtype=np.uint64)
-    row = line = pos = 0
-    while pos < len(data):
-        end = data.find(b"\n", pos + _CHUNK_BYTES) + 1 or len(data)
-        chunk = data[pos:end]
-        part = _chunk_keys(chunk, line)
-        if part.shape[1] > keys.shape[1]:
-            wider = np.empty((len(keys), part.shape[1]), dtype=np.uint64)
-            wider[:row, :keys.shape[1]] = keys[:row]
-            wider[:row, keys.shape[1]:] = _SPACES
-            keys = wider
-        keys[row:row + len(part), :part.shape[1]] = part
-        keys[row:row + len(part), part.shape[1]:] = _SPACES
-        row += len(part)
-        line += chunk.count(b"\n")
-        pos = end
-    return keys[:row]
+    keys.sort()
+    count, last = 0, -1
+    for lo in range(0, len(keys), _CSR_SLICE):
+        part = keys[lo:lo + _CSR_SLICE]
+        new = np.diff(part, prepend=last) != 0
+        last = part[-1]
+        part = part[new]
+        keys[count:count + len(part)] = part
+        count += len(part)
+    keys.resize(2 * count, refcheck=False)
+    # The reverse of a key swaps its two int32 halves.
+    halves = keys.view(np.int32)
+    halves[2 * count::2] = halves[1:2 * count:2]
+    halves[2 * count + 1::2] = halves[0:2 * count:2]
+    keys.sort()
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
+    for lo in range(0, 2 * count, _CSR_SLICE):
+        hi = min(lo + _CSR_SLICE, 2 * count)
+        halves[lo:hi] = halves[2 * lo + _LOW_HALF:2 * hi:2]
+    del halves
+    keys.resize(count, refcheck=False)
+    return offsets, keys.view(np.int32)
+
+
+def _file_blocks(fh) -> Iterator[bytes]:
+    """A binary file's bytes in blocks, with "\\r\\n" and a lone "\\r"
+    turned into "\\n". A block's last "\\r" waits for the next block,
+    which may start with its "\\n"."""
+    held = False
+    while block := fh.read(_CHUNK_BYTES):
+        if held:
+            block = b"\r" + block
+        held = block.endswith(b"\r")
+        if held:
+            block = block[:-1]
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block
+    if held:
+        yield b"\n"
+
+
+def _blocks(source) -> Iterator[bytes]:
+    """The bytes of an in-memory text, a stream or an iterable of lines,
+    in blocks of about ``_CHUNK_BYTES``: slices of the text, reads of the
+    stream, or lines, each ended by "\\n", joined."""
+    if isinstance(source, (str, bytes)):
+        for lo in range(0, len(source), _CHUNK_BYTES):
+            yield _bytes(source[lo:lo + _CHUNK_BYTES])
+    elif hasattr(source, "read"):
+        while block := source.read(_CHUNK_BYTES):
+            yield _bytes(block)
+    else:
+        lines, size = [], 0
+        for line in source:
+            line = _bytes(line)
+            lines.append(line if line.endswith(b"\n") else line + b"\n")
+            size += len(lines[-1])
+            if size >= _CHUNK_BYTES:
+                yield b"".join(lines)
+                lines, size = [], 0
+        yield b"".join(lines)
+
+
+def _bytes(text) -> bytes:
+    return text.encode() if isinstance(text, str) else text
+
+
+def _pieces(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """Consecutive blocks, cut after their last newlines: every piece but
+    the last ends with "\\n"."""
+    head = []
+    for block in blocks:
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            head.append(block)
+            continue
+        head.append(block[:cut])
+        yield b"".join(head)
+        head = [block[cut:]]
+    tail = b"".join(head)
+    if tail:
+        yield tail
+
+
+def _key_runs(pieces: Iterable[bytes], table: "_LabelTable") -> Iterator[np.ndarray]:
+    """Key rows of the labels of consecutive pieces, in input order, in
+    runs of at least max(``_RUN_LABELS``, len(table) // 2) rows but the
+    last. Row 2i of a run holds the first label of its i-th edge line,
+    row 2i + 1 its second; a run's keys are widened to its widest."""
+    run, size, line = [], 0, 0
+    for piece in pieces:
+        run.append(_chunk_keys(piece, line))
+        line += piece.count(b"\n")
+        size += len(run[-1])
+        if size >= max(_RUN_LABELS, len(table) // 2):
+            yield _stack(run)
+            size = 0
+    if size:
+        yield _stack(run)
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The key rows of ``parts`` in one array, which is emptied."""
+    width = max(part.shape[1] for part in parts)
+    keys = np.concatenate([_widen(part, width) for part in parts])
+    parts.clear()
+    return keys
+
+
+def _widen(keys: np.ndarray, width: int) -> np.ndarray:
+    """Key rows padded with space words to ``width`` words."""
+    if keys.shape[1] == width:
+        return keys
+    wider = np.full((len(keys), width), _SPACES, dtype=np.uint64)
+    wider[:, :keys.shape[1]] = keys
+    return wider
 
 
 def _chunk_keys(chunk: bytes, first_line: int) -> np.ndarray:
@@ -308,38 +365,83 @@ def _chunk_keys(chunk: bytes, first_line: int) -> np.ndarray:
     return keys
 
 
-def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key row's dense id, in order of first appearance, and the
-    distinct rows in that order.
+class _LabelTable:
+    """The distinct label keys seen so far, sorted, with their dense ids.
 
-    One sort groups equal rows; a group's first appearance is the least
-    input position in it, so the sort need not be stable. The group
-    starts and the ids are found in slices of the sort order, so that
-    neither a sorted copy of the keys nor a group number per key is kept
-    beside it.
+    ``add`` gives a run of keys their ids: one sort of the run groups its
+    equal keys, and a search of the table for each group's key finds the
+    labels seen before. The others take the next ids in order of first
+    appearance, the least input position in their group, and are
+    inserted into the table, so every id is final when its run is added.
+    The table holds each key as one comparable value (``_sortable``); a
+    wider run widens it with space words and sorts it anew.
     """
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
-    # Half the size, for all but inputs of over 2^31 labels.
-    if len(order) <= np.iinfo(np.int32).max:
-        order = order.astype(np.int32)
-    new = np.ones(len(order), dtype=bool)
-    for lo in range(1, len(order), _ID_SLICE):
-        run = keys[order[lo - 1:lo + _ID_SLICE]]
-        new[lo:lo + _ID_SLICE] = (run[1:] != run[:-1]).any(axis=1)
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_appearance = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[by_appearance] = np.arange(len(first))
-    ids = np.empty(len(order), dtype=np.int32)
-    group = -1
-    for lo in range(0, len(order), _ID_SLICE):
-        # Native-width indices take numpy's fast path: a quarter faster
-        # than scattering through int32 ones.
-        groups = np.cumsum(new[lo:lo + _ID_SLICE], dtype=np.intp)
-        groups += group
-        group = int(groups[-1])
-        ids[order[lo:lo + _ID_SLICE].astype(np.intp)] = rank[groups]
-    return ids, keys[first[by_appearance]]
+
+    def __init__(self):
+        self.width = 1
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """The int32 dense ids of a run of key rows."""
+        if keys.shape[1] > self.width:
+            rows = _key_rows(self.keys, self.width)
+            self.width = keys.shape[1]
+            table = _sortable(_widen(rows, self.width))
+            order = np.argsort(table)
+            self.keys, self.ids = table[order], self.ids[order]
+        flat = _sortable(_widen(keys, self.width))
+        order = np.argsort(flat)
+        run = flat[order]
+        starts = np.ones(len(run), dtype=bool)
+        starts[1:] = run[1:] != run[:-1]
+        starts = np.flatnonzero(starts)
+        distinct = run[starts]
+        del run
+        at = np.searchsorted(self.keys, distinct)
+        seen = at < len(self.keys)
+        seen[seen] = self.keys[at[seen]] == distinct[seen]
+        new = ~seen
+        # A new group's first appearance is the least position in it. One
+        # reduction runs over the new groups and the gaps between them; a
+        # last gap that would start past the end is left out.
+        lo, hi = starts[new], np.append(starts[1:], len(order))[new]
+        cuts = np.stack((lo, hi), axis=1).ravel()
+        if len(cuts) and cuts[-1] == len(order):
+            cuts = cuts[:-1]
+        first = np.minimum.reduceat(order, cuts)[::2] if len(cuts) else lo
+        fresh = np.empty(len(first), dtype=np.int32)
+        fresh[np.argsort(first)] = np.arange(len(self), len(self) + len(first))
+        group_ids = np.empty(len(distinct), dtype=np.int32)
+        group_ids[seen] = self.ids[at[seen]]
+        group_ids[new] = fresh
+        self.keys = np.insert(self.keys, at[new], distinct[new])
+        self.ids = np.insert(self.ids, at[new], fresh)
+        ids = np.empty(len(keys), dtype=np.int32)
+        ids[order] = np.repeat(group_ids, np.diff(starts, append=len(keys)))
+        return ids
+
+    def rows(self) -> np.ndarray:
+        """The distinct key rows, in id order."""
+        rows = np.empty((len(self), self.width), dtype=np.uint64)
+        rows[self.ids] = _key_rows(self.keys, self.width)
+        return rows
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """Key rows as one comparable value each: the word of a one-word key,
+    the bytes of a wider one."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+
+
+def _key_rows(flat: np.ndarray, width: int) -> np.ndarray:
+    """The key rows of ``_sortable`` values of ``width`` words."""
+    return flat.view(np.uint64).reshape(len(flat), width)
 
 
 def _labels(keys: np.ndarray) -> list[str]:
@@ -355,25 +457,52 @@ def load_edge_list(source) -> Graph:
     ``source`` may be a file path (``.gz`` read through gzip), inline text
     containing newlines, a byte string, an open text or binary stream
     (such as ``sys.stdin.buffer``), or any iterable of lines, each with or
-    without its "\\n". The input is read into memory once, as bytes, and
-    must be UTF-8. Files break lines at "\\n", "\\r\\n" and a lone
-    "\\r"; every other source at "\\n" alone, so that a "\\r" there
-    separates labels. Labels are separated by the whitespace that
-    ``str.split()`` splits on, non-ASCII spaces such as U+00A0 included.
-    Lines whose first label starts with '#' or '%' are comments; every
-    other non-blank line must hold exactly two labels, or
-    ``EdgeListParseError`` names the first line that does not (or is not
-    UTF-8). Labels are mapped to dense ids in first-appearance order;
-    self-loops are dropped and parallel or reversed duplicates collapsed.
+    without its "\\n". The input is read in newline-aligned pieces of
+    about ``_CHUNK_BYTES``, never whole, and must be UTF-8. Files break
+    lines at "\\n", "\\r\\n" and a lone "\\r"; every other source at
+    "\\n" alone, so that a "\\r" there separates labels. Labels are
+    separated by the whitespace that ``str.split()`` splits on, non-ASCII
+    spaces such as U+00A0 included. Lines whose first label starts with
+    '#' or '%' are comments; every other non-blank line must hold exactly
+    two labels, or ``EdgeListParseError`` names the first line that does
+    not (or is not UTF-8). Labels are mapped to dense ids in
+    first-appearance order; self-loops are dropped and parallel or
+    reversed duplicates collapsed.
+
+    Runs of pieces are keyed and looked up in a table of the distinct
+    labels (``_LabelTable``); each line then leaves one int64 edge key in
+    a buffer that grows with the input, and ``_edge_csr`` turns that
+    buffer into the graph's neighbours.
     """
-    keys = _label_keys(_read(source))
-    ids, distinct = _dense_ids(keys)
-    del keys
-    n = len(distinct)
-    offsets, neighbors = _build_csr(n, ids[0::2], ids[1::2])
-    del ids
-    graph = Graph(n, offsets, neighbors)
-    graph._keys = distinct
+    # A string without a newline (and not empty) is a path; canonical
+    # writer output ends every line with one, so round-trips stay inline.
+    if isinstance(source, str) and "\n" not in source and source != "":
+        if source.endswith(".gz"):
+            import gzip
+            opener = gzip.open
+        else:
+            opener = open
+        with opener(source, "rb") as fh:
+            return _load(_file_blocks(fh))
+    return _load(_blocks(source))
+
+
+def _load(blocks: Iterable[bytes]) -> Graph:
+    table = _LabelTable()
+    edges = np.empty(0, dtype=np.int64)
+    count = 0
+    for keys in _key_runs(_pieces(blocks), table):
+        ids = table.add(keys)
+        del keys
+        key = _edge_keys(ids[0::2], ids[1::2])
+        del ids
+        if count + len(key) > len(edges):
+            edges.resize(max(2 * len(edges), count + len(key)), refcheck=False)
+        edges[count:count + len(key)] = key
+        count += len(key)
+    edges.resize(count, refcheck=False)
+    graph = Graph(len(table), *_edge_csr(len(table), edges))
+    graph._keys = table.rows()
     return graph
 
 

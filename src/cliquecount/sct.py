@@ -33,7 +33,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .degeneracy import DegeneracyOrientation, degeneracy_orient
+from .degeneracy import TAIL_SLICE, DegeneracyOrientation, degeneracy_orient
 from .errors import SizeLimitError
 from .graph import Graph
 
@@ -50,7 +50,8 @@ ROOT_CHUNK_SHARE = 16
 # ceil(d / WORD_BITS) words.
 WORD_BITS = 64
 # A global-only walk takes the busy roots of consecutive chunks until their
-# rows come to this many words, and walks them at once (``walk_levels``).
+# rows come to min(LEVEL_ROW_WORDS, m // LEVEL_SHARE) words, m the number
+# of oriented edges, and walks them at once (``walk_levels``).
 LEVEL_ROW_WORDS = 1 << 16
 # ``walk_levels`` walks a level in batches of nodes whose members' rows come
 # to at most min(LEVEL_WORDS, m // LEVEL_SHARE) words, m the number of
@@ -131,8 +132,9 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     ``on_node``, ``walk_root`` walks every root, in the given order, and
     calls it as there. Otherwise ``walk_levels`` walks them: their rows
     are kept over consecutive chunks, grouped by the number of words per
-    row, until they come to ``LEVEL_ROW_WORDS`` words, and each group is
-    then walked at once. With ``batches``, every root is walked, and
+    row, until they come to min(``LEVEL_ROW_WORDS``, m // ``LEVEL_SHARE``)
+    words, m the number of oriented edges, and each group is then walked
+    at once. With ``batches``, every root is walked, and
     each batch of leaves goes to ``batches.add(roots, hold, pivots)``
     (``counting.LeafBatches``). Without, only the roots whose subproblem
     has an edge are walked. The others have the fixed two-level tree of
@@ -154,6 +156,7 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     waiting: dict[int, list[tuple[np.ndarray, ...]]] = {}
     waiting_words = 0
     budget = min(LEVEL_WORDS, len(targets) // LEVEL_SHARE)
+    waiting_cap = min(LEVEL_ROW_WORDS, len(targets) // LEVEL_SHARE)
     for lo, hi in root_chunks(offsets, targets, out_deg, roots):
         chunk = roots[lo:hi]
         rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
@@ -175,7 +178,7 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
                 (rows[np.repeat(pick, sizes * words)], sizes[pick],
                  chunk[pick]))
         waiting_words += int((sizes * words)[busy].sum())
-        if waiting_words >= LEVEL_ROW_WORDS:
+        if waiting_words >= waiting_cap:
             _walk_waiting(stats, waiting, max_hold, batches, budget)
             waiting_words = 0
     _walk_waiting(stats, waiting, max_hold, batches, budget)
@@ -439,14 +442,24 @@ def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
 
     A root's work is its out-degree plus its wedges v->u->w; a slice holds
     about max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) of it, m the
-    number of oriented edges.
+    number of oriented edges. Every vertex's wedges are summed over
+    ``TAIL_SLICE``-sized slices of the out-CSR, cut as in
+    ``degeneracy_orient``'s tail, so no temporary has an entry per edge.
     """
-    # A root's wedges come from a running sum over its edges.
-    through = np.zeros(len(targets) + 1, dtype=np.int64)
-    np.cumsum(out_deg[targets], out=through[1:])
-    work = np.cumsum(out_deg[roots] + through[offsets[roots + 1]]
-                     - through[offsets[roots]])
-    del through
+    n = len(out_deg)
+    wedges = np.empty(n, dtype=np.int64)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, offsets[lo] + TAIL_SLICE, side="right")) - 1)
+        # A running sum over the slice's edges, from 0 at its first.
+        through = np.zeros(int(offsets[hi] - offsets[lo]) + 1, dtype=np.int64)
+        np.cumsum(out_deg[targets[offsets[lo]:offsets[hi]]], out=through[1:])
+        bounds = through[offsets[lo:hi + 1] - offsets[lo]]
+        np.subtract(bounds[1:], bounds[:-1], out=wedges[lo:hi])
+        lo = hi
+    work = np.cumsum(out_deg[roots] + wedges[roots])
+    del wedges
     total = int(work[-1]) if len(work) else 0
     step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
     cuts = np.searchsorted(work, np.arange(step, total, step), side="right")

@@ -26,6 +26,12 @@ def test_load_collapses_self_loops_and_duplicates():
     g = load_edge_list(["0 0", "0 1", "1 0"])
     assert (g.n, g.m) == (2, 1)
     assert list(g.neighbors(0)) == [1]
+    # Repeats that straddle the bounds of the CSR build's slices.
+    for csr_slice in (1, 2, graph_module._CSR_SLICE):
+        with mock.patch.object(graph_module, "_CSR_SLICE", csr_slice):
+            g = load_edge_list(["0 1", "1 0", "1 2", "2 1", "0 1", "2 2"])
+            assert (g.n, g.m) == (3, 2)
+            assert [g.neighbors(v).tolist() for v in range(3)] == [[1], [0, 2], [1]]
 
 
 def test_load_empty_input_is_empty_graph():
@@ -149,15 +155,19 @@ def test_files_also_break_lines_at_carriage_returns(tmp_path):
     gz.write_bytes(gzip.compress(data))
     crlf = tmp_path / "crlf.txt"
     crlf.write_bytes(b"a b\r\nb c\r\n")
-    for source in (path, gz, crlf):
-        g = load_edge_list(str(source))
-        assert (g.n, g.m) == (3, 2)
-        assert list(g.id_map) == ["a", "b", "c"]
     message = r"^line 1: expected 2 tokens, found 4: 'a b\\rb c'$"
-    for source in (data, io.BytesIO(data), io.StringIO(data.decode()),
-                   data.decode() + "\n"):
-        with pytest.raises(EdgeListParseError, match=message):
-            load_edge_list(source)
+    # Read in pieces of 1 and 9 bytes too: a CRLF split between two
+    # pieces, a lone CR at the end of one.
+    for chunk_bytes in (1, 9, graph_module._CHUNK_BYTES):
+        with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk_bytes):
+            for source in (path, gz, crlf):
+                g = load_edge_list(str(source))
+                assert (g.n, g.m) == (3, 2)
+                assert list(g.id_map) == ["a", "b", "c"]
+            for source in (data, io.BytesIO(data),
+                           io.StringIO(data.decode()), data.decode() + "\n"):
+                with pytest.raises(EdgeListParseError, match=message):
+                    load_edge_list(source)
 
 
 def test_separators_are_those_of_str_split():
@@ -220,40 +230,115 @@ _line = st.tuples(st.lists(_label, max_size=3),
                       label + sep for label, sep in zip(t[0], t[1])))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_line, max_size=25), st.booleans(), st.sampled_from([1 << 20, 1, 9]))
-def test_loader_matches_a_reference_parser(lines, trailing_newline, chunk_bytes):
-    text = "\n".join(lines) + ("\n" if trailing_newline else "")
+def _file_text(text):
+    """``text`` with its lines broken as in a file: at "\\r\\n" and "\\r" too."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _sources(data, directory):
+    """``data`` as bytes, binary stream, path and gzip path, and for each
+    whether lines also break at "\\r"."""
+    path = directory / "g.txt"
+    path.write_bytes(data)
+    gz = directory / "g.txt.gz"
+    gz.write_bytes(gzip.compress(data))
+    return [(data, False), (io.BytesIO(data), False), (str(path), True),
+            (str(gz), True)]
+
+
+def _assert_loads_like_reference(source, text):
     try:
         id_map, edges = _reference_load(text)
     except EdgeListParseError as exc:
-        with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk_bytes):
-            with pytest.raises(EdgeListParseError) as err:
-                load_edge_list(text.encode())
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(source)
         assert str(err.value) == str(exc)
         assert err.value.line_number == exc.line_number
         return
-    with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk_bytes):
-        g = load_edge_list(text.encode())
+    g = load_edge_list(source)
     assert list(g.id_map.items()) == list(id_map.items())
-    assert g == Graph.from_edges(edges, n=len(id_map))
+    rows = [set() for _ in id_map]
+    for u, v in edges:
+        if u != v:
+            rows[u].add(v)
+            rows[v].add(u)
+    assert [g.neighbors(v).tolist() for v in range(g.n)] == list(map(sorted, rows))
 
 
-@pytest.mark.parametrize("id_slice", [1, 2, 5, 64, graph_module._ID_SLICE])
-@pytest.mark.parametrize("words", [1, 2])
-def test_dense_ids_in_slices(id_slice, words, monkeypatch):
-    # Runs of equal keys straddle the slices' bounds; the ids must be those
-    # of first appearance, and the distinct rows in that order.
-    monkeypatch.setattr(graph_module, "_ID_SLICE", id_slice)
-    rng = np.random.default_rng(words)
-    keys = rng.integers(0, 40, (500, words)).astype(np.uint64)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, max_size=25), st.booleans(),
+       st.sampled_from([1 << 20, 1, 9]), st.sampled_from([1, 3, 1 << 14]))
+def test_loader_matches_a_reference_parser(tmp_path_factory, lines,
+                                           trailing_newline, chunk_bytes,
+                                           run_labels):
+    # Every source kind, read in pieces of 1 and 9 bytes (a CRLF or a
+    # multi-byte character split between two reads) and whole, its labels
+    # looked up in runs of 1, 3 and 16,384, and its CSR compacted and
+    # narrowed in slices of as many entries.
+    text = "\n".join(lines) + ("\n" if trailing_newline else "")
+    with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(graph_module, "_RUN_LABELS", run_labels), \
+            mock.patch.object(graph_module, "_CSR_SLICE", run_labels):
+        for source, is_file in _sources(text.encode(),
+                                         tmp_path_factory.mktemp("g")):
+            _assert_loads_like_reference(
+                source, _file_text(text) if is_file else text)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 5, 9, 1 << 17])
+def test_pieces_keep_lines_whole(chunk_bytes, tmp_path, monkeypatch):
+    # At every piece size: a CRLF split between two pieces, a lone CR at a
+    # piece's end, a comment line at a piece's start and a last line
+    # without its newline; then a wrong token count and a byte that is not
+    # UTF-8, each past the first piece and reported by its line number.
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk_bytes)
+    good = "# c\r\na b\r\r% d\rb c\r\n\r\n# e\nc a\rd e"
+    for tail in ("", "\r\nx y z\r\n", "\r\nx \udcff\r\nx y z"):
+        text = good + tail
+        data = text.encode(errors="surrogateescape")
+        for source, is_file in _sources(data, tmp_path):
+            if not (is_file and "\udcff" in text):
+                # A CR breaks no line here, so line 2 holds six labels.
+                _assert_loads_like_reference(
+                    source, _file_text(text) if is_file else text)
+                continue
+            line = _file_text(good).count("\n") + 2
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(source)
+            assert str(err.value) == (
+                f"line {line}: not valid UTF-8 (byte 0xff at column 3)")
+
+
+@pytest.mark.parametrize("run_labels", [1, 2, 5, 64, graph_module._RUN_LABELS])
+@pytest.mark.parametrize("words", [1, 2, (1, 2)])
+def test_dense_ids_in_slices(run_labels, words):
+    # Keys come to the table in runs, with equal keys on both sides of the
+    # runs' bounds; the ids must be those of first appearance, and the
+    # distinct rows in that order. With (1, 2), the first half of the
+    # keys takes one word and the rest two, so the table widens midway.
+    width = max(words) if isinstance(words, tuple) else words
+    rng = np.random.default_rng(width + isinstance(words, tuple))
+    # 40 words whose order as numbers and as bytes differ.
+    values = rng.integers(0, 1 << 63, 40, dtype=np.uint64)
+    keys = values[rng.integers(0, 40, (500, width))]
+    if isinstance(words, tuple):
+        keys[:250, 1:] = graph_module._SPACES
+        keys[250::2, 1:] = graph_module._SPACES
+    for bound in range(run_labels, len(keys), 2 * run_labels):
+        keys[bound] = keys[bound - 1]
     seen = {}
     want = [seen.setdefault(tuple(row), len(seen)) for row in keys.tolist()]
-    ids, distinct = graph_module._dense_ids(keys)
-    assert ids.dtype == np.int32 and ids.tolist() == want
-    assert distinct.tolist() == [list(row) for row in seen]
-    ids, distinct = graph_module._dense_ids(keys[:0])
-    assert ids.tolist() == [] and distinct.shape == (0, words)
+    table = graph_module._LabelTable()
+    assert len(table) == 0 and table.rows().shape == (0, 1)
+    ids = []
+    for lo in range(0, len(keys), run_labels):
+        run = keys[lo:lo + run_labels]
+        if isinstance(words, tuple) and lo + len(run) <= 250:
+            run = run[:, :1]
+        ids.extend(table.add(np.ascontiguousarray(run)).tolist())
+    assert ids == want
+    assert table.rows().tolist() == [list(row) for row in seen]
+    assert table.add(keys[:0]).tolist() == [] and len(table) == len(seen)
 
 
 def test_labels_mapped_in_first_appearance_order():
@@ -266,13 +351,12 @@ def test_labels_mapped_in_first_appearance_order():
 def test_load_and_peel_peak_memory_per_line():
     # tracemalloc's peak over loading 50k edge lines, whose labels take two
     # key words, and then its peak over peeling the loaded graph, per input
-    # line. Measured with numpy 2.4 on Python 3.11: 80.3 bytes for the load
-    # and 58.0 for the graph and the peel; the bounds add 5%. Building
-    # id_map in the load (96.4 for the load), a CSR build that keeps about
-    # six int64 entries per edge alive at once (97.0), a sorted copy of the
-    # keys beside their int64 sort order (88.1), fresh ints in the peel's
-    # levels, or the peel's rank list and its m-sized orientation
-    # temporaries (98.9 for the peel) exceed them.
+    # line. Measured with numpy 2.4 on Python 3.11: 54.6 bytes for the load
+    # and 58.0 for the graph and the peel; the bounds add 5%. A key array
+    # for every label of the input, as the loader kept until it read in
+    # pieces (80.3 for the load), runs of 65,536 labels (112.1), fresh ints
+    # in the peel's levels, or the peel's rank list and its m-sized
+    # orientation temporaries (98.9 for the peel) exceed them.
     lines = 50_000
     ends = np.random.default_rng(7).integers(0, 25_000, (lines, 2)).tolist()
     data = "".join(f"vertex-{u}-x vertex-{v}-x\n" for u, v in ends).encode()
@@ -287,7 +371,7 @@ def test_load_and_peel_peak_memory_per_line():
         _, peel_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert load_peak / lines <= 80.3 * 1.05, load_peak / lines
+    assert load_peak / lines <= 54.6 * 1.05, load_peak / lines
     assert peel_peak / lines <= 58.0 * 1.05, peel_peak / lines
 
 

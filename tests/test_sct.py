@@ -91,6 +91,30 @@ def _clique_rich_graph(seed):
     return Graph.from_edges(edges, n=44)
 
 
+@pytest.mark.parametrize("tail_slice", [1, 7, 64, sct.TAIL_SLICE])
+def test_root_chunks_in_slices(tail_slice, monkeypatch):
+    # Wedges summed over slices of the out-CSR cut the roots where a
+    # running sum over all edges does; chunks of at least 5 units of work,
+    # so that there are many, on the clique-rich graph and on a 300-vertex
+    # random graph, roots in id order and shuffled.
+    monkeypatch.setattr(sct, "TAIL_SLICE", tail_slice)
+    monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", 5)
+    for g in (_clique_rich_graph(3), random_gnp(300, 0.05, 11)):
+        o = degeneracy_orient(g)
+        offsets, targets = o.out_offsets, o.out_targets
+        out_deg = np.diff(offsets)
+        through = np.concatenate(([0], np.cumsum(out_deg[targets])))
+        for roots in (np.arange(g.n), np.random.default_rng(1).permutation(g.n)):
+            work = np.cumsum(out_deg[roots] + through[offsets[roots + 1]]
+                             - through[offsets[roots]])
+            step = max(5, len(targets) // sct.ROOT_CHUNK_SHARE)
+            cuts = np.searchsorted(work, np.arange(step, work[-1], step),
+                                   side="right")
+            bounds = sorted(set([0, *cuts.tolist(), g.n]))
+            assert sct.root_chunks(offsets, targets, out_deg, roots) == \
+                list(zip(bounds[:-1], bounds[1:]))
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_materialize_matches_traverse(seed):
     # The recorded tree has the walk's shape and its leaves in walk order.
