@@ -29,7 +29,7 @@ import heapq
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, csr_slices
 
 
 class DegeneracyOrientation:
@@ -81,11 +81,6 @@ class DegeneracyOrientation:
         return int(np.count_nonzero(self.core_numbers == self.alpha))
 
 
-# The orientation's out-CSR is filled from slices of the graph's CSR of
-# about this many entries, which bounds the tail's temporaries.
-TAIL_SLICE = 1 << 16
-
-
 def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     """Compute the degeneracy ordering and orientation of ``graph``.
 
@@ -115,7 +110,7 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
 
     A vertex's out-degree is its residual degree when it is removed, so
     the out-CSR's offsets are known when the peel ends; its targets are
-    then filtered by rank from ``TAIL_SLICE``-sized slices of the CSR.
+    then filtered by rank from slices of the CSR (``graph.csr_slices``).
     """
     n = graph.n
     offsets = graph._offsets
@@ -188,14 +183,10 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     # Keep the edges toward higher rank. CSR rows are id-sorted already,
     # so filtering preserves the ascending order the traversal relies on.
     out_targets = np.empty(int(out_offsets[-1]), dtype=np.int32)
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(
-            offsets, bound_at[lo] + TAIL_SLICE, side="right")) - 1)
+    for lo, hi in csr_slices(offsets):
         ahead = neighbors[bound_at[lo]:bound_at[hi]]
         keep = rank[ahead] > np.repeat(rank[lo:hi], np.diff(offsets[lo:hi + 1]))
         out_targets[out_offsets[lo]:out_offsets[hi]] = ahead[keep]
-        lo = hi
     return DegeneracyOrientation(n, order, alpha, core_numbers,
                                  out_offsets, out_targets)
 

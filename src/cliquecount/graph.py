@@ -49,9 +49,9 @@ _CHUNK_BYTES = 1 << 17
 # that inserting a run's new keys into the sorted table, which copies it,
 # costs at most a few entries per label.
 _RUN_LABELS = 1 << 14
-# The CSR buffer is compacted and narrowed this many entries at a time,
-# which bounds the temporaries.
-_CSR_SLICE = 1 << 16
+# CSR arrays are built, filtered and summed in slices of about this many
+# entries, which bounds the temporaries.
+CSR_SLICE = 1 << 16
 # A key word of eight spaces; _LOW_BYTES[r] keeps the first r bytes of a
 # little-endian word.
 _SPACES = np.uint64(0x2020202020202020)
@@ -179,12 +179,12 @@ def _edge_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys together, in neighbour order. A search for each row's first key
     gives the offsets, and the keys' low halves, narrowed to int32 in
     place, are the neighbours, to which the buffer then shrinks. Apart
-    from the offsets, no temporary exceeds ``_CSR_SLICE`` entries.
+    from the offsets, no temporary exceeds ``CSR_SLICE`` entries.
     """
     keys.sort()
     count, last = 0, -1
-    for lo in range(0, len(keys), _CSR_SLICE):
-        part = keys[lo:lo + _CSR_SLICE]
+    for lo in range(0, len(keys), CSR_SLICE):
+        part = keys[lo:lo + CSR_SLICE]
         new = np.diff(part, prepend=last) != 0
         last = part[-1]
         part = part[new]
@@ -197,12 +197,24 @@ def _edge_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     halves[2 * count + 1::2] = halves[0:2 * count:2]
     keys.sort()
     offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
-    for lo in range(0, 2 * count, _CSR_SLICE):
-        hi = min(lo + _CSR_SLICE, 2 * count)
+    for lo in range(0, 2 * count, CSR_SLICE):
+        hi = min(lo + CSR_SLICE, 2 * count)
         halves[lo:hi] = halves[2 * lo + _LOW_HALF:2 * hi:2]
     del halves
     keys.resize(count, refcheck=False)
     return offsets, keys.view(np.int32)
+
+
+def csr_slices(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [lo, hi) of the CSR with these offsets, each
+    of as many rows as fit in ``CSR_SLICE`` entries, or of one row that
+    alone holds more."""
+    lo, n = 0, len(offsets) - 1
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, offsets[lo] + CSR_SLICE, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _file_blocks(fh) -> Iterator[bytes]:
@@ -373,8 +385,11 @@ class _LabelTable:
     labels seen before. The others take the next ids in order of first
     appearance, the least input position in their group, and are
     inserted into the table, so every id is final when its run is added.
-    The table holds each key as one comparable value (``_sortable``); a
-    wider run widens it with space words and sorts it anew.
+    Keys are ordered by their words, first word first: a run of one-word
+    keys is sorted by argsort, a wider one by lexsort over its words. The
+    table holds each key as one value that compares in that order
+    (``_sortable``); a wider run widens it with space words, which keeps
+    its order.
     """
 
     def __init__(self):
@@ -388,35 +403,29 @@ class _LabelTable:
     def add(self, keys: np.ndarray) -> np.ndarray:
         """The int32 dense ids of a run of key rows."""
         if keys.shape[1] > self.width:
-            rows = _key_rows(self.keys, self.width)
+            # Space words lengthen every key alike: the order stands.
+            rows = _widen(_key_rows(self.keys, self.width), keys.shape[1])
             self.width = keys.shape[1]
-            table = _sortable(_widen(rows, self.width))
-            order = np.argsort(table)
-            self.keys, self.ids = table[order], self.ids[order]
-        flat = _sortable(_widen(keys, self.width))
-        order = np.argsort(flat)
-        run = flat[order]
+            self.keys = _sortable(rows)
+        keys = _widen(keys, self.width)
+        order = (np.argsort(keys[:, 0]) if self.width == 1
+                 else np.lexsort(keys.T[::-1]))
+        run = np.take(keys, order, axis=0)
         starts = np.ones(len(run), dtype=bool)
-        starts[1:] = run[1:] != run[:-1]
+        starts[1:] = False
+        for k in range(self.width):
+            starts[1:] |= run[1:, k] != run[:-1, k]
         starts = np.flatnonzero(starts)
-        distinct = run[starts]
+        distinct = _sortable(run[starts])
         del run
         at = np.searchsorted(self.keys, distinct)
         seen = at < len(self.keys)
         seen[seen] = self.keys[at[seen]] == distinct[seen]
         new = ~seen
-        # A new group's first appearance is the least position in it. One
-        # reduction runs over the new groups and the gaps between them; a
-        # last gap that would start past the end is left out.
-        lo, hi = starts[new], np.append(starts[1:], len(order))[new]
-        cuts = np.stack((lo, hi), axis=1).ravel()
-        if len(cuts) and cuts[-1] == len(order):
-            cuts = cuts[:-1]
-        first = np.minimum.reduceat(order, cuts)[::2] if len(cuts) else lo
-        fresh = np.empty(len(first), dtype=np.int32)
-        fresh[np.argsort(first)] = np.arange(len(self), len(self) + len(first))
         group_ids = np.empty(len(distinct), dtype=np.int32)
         group_ids[seen] = self.ids[at[seen]]
+        # The numbering's temporaries are gone before the table grows.
+        fresh = _first_appearances(order, starts, new, len(self))
         group_ids[new] = fresh
         self.keys = np.insert(self.keys, at[new], distinct[new])
         self.ids = np.insert(self.ids, at[new], fresh)
@@ -431,17 +440,41 @@ class _LabelTable:
         return rows
 
 
+def _first_appearances(order: np.ndarray, starts: np.ndarray,
+                       new: np.ndarray, first_id: int) -> np.ndarray:
+    """Ids from ``first_id`` on for the groups of a sorted run that ``new``
+    picks, in the order of their first appearances in the run.
+
+    ``order`` sorts the run and ``starts`` holds its groups' starts. A
+    group's first appearance is the least position in it. One reduction
+    runs over the picked groups and the gaps between them; a last gap that
+    would start past the end is left out.
+    """
+    lo, hi = starts[new], np.append(starts[1:], len(order))[new]
+    cuts = np.stack((lo, hi), axis=1).ravel()
+    if len(cuts) and cuts[-1] == len(order):
+        cuts = cuts[:-1]
+    first = np.minimum.reduceat(order, cuts)[::2] if len(cuts) else lo
+    ids = np.empty(len(first), dtype=np.int32)
+    ids[np.argsort(first)] = np.arange(first_id, first_id + len(first))
+    return ids
+
+
 def _sortable(keys: np.ndarray) -> np.ndarray:
-    """Key rows as one comparable value each: the word of a one-word key,
-    the bytes of a wider one."""
+    """Key rows as one comparable value each, in the order of their words,
+    first word first: the word of a one-word key, the big-endian bytes of
+    a wider one."""
     if keys.shape[1] == 1:
         return keys[:, 0]
+    keys = np.ascontiguousarray(keys, dtype=">u8")
     return keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
 
 
 def _key_rows(flat: np.ndarray, width: int) -> np.ndarray:
     """The key rows of ``_sortable`` values of ``width`` words."""
-    return flat.view(np.uint64).reshape(len(flat), width)
+    if width == 1:
+        return flat.reshape(len(flat), 1)
+    return flat.view(">u8").reshape(len(flat), width)
 
 
 def _labels(keys: np.ndarray) -> list[str]:

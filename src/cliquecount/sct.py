@@ -33,9 +33,9 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .degeneracy import TAIL_SLICE, DegeneracyOrientation, degeneracy_orient
+from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import SizeLimitError
-from .graph import Graph
+from .graph import Graph, csr_slices
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -443,21 +443,16 @@ def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
     A root's work is its out-degree plus its wedges v->u->w; a slice holds
     about max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) of it, m the
     number of oriented edges. Every vertex's wedges are summed over
-    ``TAIL_SLICE``-sized slices of the out-CSR, cut as in
-    ``degeneracy_orient``'s tail, so no temporary has an entry per edge.
+    slices of the out-CSR (``graph.csr_slices``), so no temporary has an
+    entry per edge.
     """
-    n = len(out_deg)
-    wedges = np.empty(n, dtype=np.int64)
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(
-            offsets, offsets[lo] + TAIL_SLICE, side="right")) - 1)
+    wedges = np.empty(len(out_deg), dtype=np.int64)
+    for lo, hi in csr_slices(offsets):
         # A running sum over the slice's edges, from 0 at its first.
         through = np.zeros(int(offsets[hi] - offsets[lo]) + 1, dtype=np.int64)
         np.cumsum(out_deg[targets[offsets[lo]:offsets[hi]]], out=through[1:])
         bounds = through[offsets[lo:hi + 1] - offsets[lo]]
         np.subtract(bounds[1:], bounds[:-1], out=wedges[lo:hi])
-        lo = hi
     work = np.cumsum(out_deg[roots] + wedges[roots])
     del wedges
     total = int(work[-1]) if len(work) else 0

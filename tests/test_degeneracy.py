@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cliquecount import Graph, core_numbers, degeneracy, degeneracy_orient
+from cliquecount import graph as graph_module
 
 from conftest import (complete_graph, cycle_graph, empty_graph, path_graph,
                       quadratic_peel, random_gnp, star_graph)
@@ -148,9 +149,9 @@ def hub_graph() -> Graph:
 
 # Slices of one CSR entry, a few rows, and less than the hub's row (about
 # 200 entries), against the default, under which the graph is one slice.
-@pytest.mark.parametrize("tail_slice", [1, 7, 64, degeneracy.TAIL_SLICE])
+@pytest.mark.parametrize("tail_slice", [1, 7, 64, graph_module.CSR_SLICE])
 def test_out_csr_in_slices_matches_the_reference_order(tail_slice, monkeypatch):
-    monkeypatch.setattr(degeneracy, "TAIL_SLICE", tail_slice)
+    monkeypatch.setattr(graph_module, "CSR_SLICE", tail_slice)
     g = hub_graph()
     assert 2 * g.m > 10 * 64
     o = degeneracy_orient(g)

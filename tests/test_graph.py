@@ -27,11 +27,29 @@ def test_load_collapses_self_loops_and_duplicates():
     assert (g.n, g.m) == (2, 1)
     assert list(g.neighbors(0)) == [1]
     # Repeats that straddle the bounds of the CSR build's slices.
-    for csr_slice in (1, 2, graph_module._CSR_SLICE):
-        with mock.patch.object(graph_module, "_CSR_SLICE", csr_slice):
+    for csr_slice in (1, 2, graph_module.CSR_SLICE):
+        with mock.patch.object(graph_module, "CSR_SLICE", csr_slice):
             g = load_edge_list(["0 1", "1 0", "1 2", "2 1", "0 1", "2 2"])
             assert (g.n, g.m) == (3, 2)
             assert [g.neighbors(v).tolist() for v in range(3)] == [[1], [0, 2], [1]]
+
+
+@pytest.mark.parametrize("csr_slice", [1, 7, 64])
+def test_csr_slices_cover_the_rows(csr_slice, monkeypatch):
+    # Consecutive ranges over every row, empty rows included, each as many
+    # rows as fit in the slice size, or one row that alone holds more.
+    monkeypatch.setattr(graph_module, "CSR_SLICE", csr_slice)
+    sizes = np.random.default_rng(csr_slice).integers(0, 20, 300)
+    sizes[::17] = 0
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    slices = list(graph_module.csr_slices(offsets))
+    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+    assert slices[-1][1] == len(sizes)
+    for lo, hi in slices:
+        held = offsets[hi] - offsets[lo]
+        assert held <= csr_slice or hi == lo + 1
+        assert hi == len(sizes) or offsets[hi + 1] - offsets[lo] > csr_slice
+    assert list(graph_module.csr_slices(np.zeros(1, dtype=np.int64))) == []
 
 
 def test_load_empty_input_is_empty_graph():
@@ -278,7 +296,7 @@ def test_loader_matches_a_reference_parser(tmp_path_factory, lines,
     text = "\n".join(lines) + ("\n" if trailing_newline else "")
     with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(graph_module, "_RUN_LABELS", run_labels), \
-            mock.patch.object(graph_module, "_CSR_SLICE", run_labels):
+            mock.patch.object(graph_module, "CSR_SLICE", run_labels):
         for source, is_file in _sources(text.encode(),
                                          tmp_path_factory.mktemp("g")):
             _assert_loads_like_reference(
@@ -335,7 +353,9 @@ def test_dense_ids_in_slices(run_labels, words):
         run = keys[lo:lo + run_labels]
         if isinstance(words, tuple) and lo + len(run) <= 250:
             run = run[:, :1]
-        ids.extend(table.add(np.ascontiguousarray(run)).tolist())
+        out = table.add(np.ascontiguousarray(run))
+        assert out.dtype == np.int32
+        ids.extend(out.tolist())
     assert ids == want
     assert table.rows().tolist() == [list(row) for row in seen]
     assert table.add(keys[:0]).tolist() == [] and len(table) == len(seen)
@@ -351,7 +371,7 @@ def test_labels_mapped_in_first_appearance_order():
 def test_load_and_peel_peak_memory_per_line():
     # tracemalloc's peak over loading 50k edge lines, whose labels take two
     # key words, and then its peak over peeling the loaded graph, per input
-    # line. Measured with numpy 2.4 on Python 3.11: 54.6 bytes for the load
+    # line. Measured with numpy 2.4 on Python 3.11: 52.8 bytes for the load
     # and 58.0 for the graph and the peel; the bounds add 5%. A key array
     # for every label of the input, as the loader kept until it read in
     # pieces (80.3 for the load), runs of 65,536 labels (112.1), fresh ints
@@ -371,7 +391,7 @@ def test_load_and_peel_peak_memory_per_line():
         _, peel_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert load_peak / lines <= 54.6 * 1.05, load_peak / lines
+    assert load_peak / lines <= 52.8 * 1.05, load_peak / lines
     assert peel_peak / lines <= 58.0 * 1.05, peel_peak / lines
 
 

@@ -12,6 +12,7 @@ from cliquecount import (Graph, SizeLimitError, TraversalStats, count,
                          degeneracy_orient, enumerate_all_cliques,
                          materialize_sct, sct, traverse,
                          verify_unique_representation)
+from cliquecount import graph as graph_module
 
 from conftest import (complete_graph, empty_graph, petersen_graph,
                       quadratic_peel, random_gnp)
@@ -91,13 +92,13 @@ def _clique_rich_graph(seed):
     return Graph.from_edges(edges, n=44)
 
 
-@pytest.mark.parametrize("tail_slice", [1, 7, 64, sct.TAIL_SLICE])
+@pytest.mark.parametrize("tail_slice", [1, 7, 64, graph_module.CSR_SLICE])
 def test_root_chunks_in_slices(tail_slice, monkeypatch):
     # Wedges summed over slices of the out-CSR cut the roots where a
     # running sum over all edges does; chunks of at least 5 units of work,
     # so that there are many, on the clique-rich graph and on a 300-vertex
     # random graph, roots in id order and shuffled.
-    monkeypatch.setattr(sct, "TAIL_SLICE", tail_slice)
+    monkeypatch.setattr(graph_module, "CSR_SLICE", tail_slice)
     monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", 5)
     for g in (_clique_rich_graph(3), random_gnp(300, 0.05, 11)):
         o = degeneracy_orient(g)
