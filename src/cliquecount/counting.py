@@ -8,8 +8,9 @@ walker's histogram of leaves by (|H|, |P|) (``TraversalStats.leaves``),
 and ``global_tables`` is the one place that turns histograms into exact
 Python-integer counts, for every count. Every count runs the level walk
 (``sct.walk_levels``) through ``sct.walk_roots``. Global-only counts get
-their histograms from ``count_roots_global``, over a set of roots, in
-one batch or in many (``parallel.count_global_parallel``). Local counts
+their histograms from ``count_roots_global``, over a range of roots, all
+of them in one range or consecutive ranges of them in a pool
+(``parallel.count_global_parallel``). Local counts
 get theirs from ``traverse`` over every root, which also hands every
 leaf to ``LeafBatches``, in batches of arrays: it adds them in numpy to
 flat fixed-width tables (``LocalTable``) that are exact by construction.
@@ -28,7 +29,7 @@ import numpy as np
 from . import sct
 from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import CountCheckError, CounterOverflowError
-from .graph import Graph
+from .graph import Graph, csr_slices
 from .sct import TraversalStats, traverse
 
 log = logging.getLogger(__name__)
@@ -46,7 +47,7 @@ LIMB_BITS = 31
 # Wide rows are carried once this many incidences have been added to them
 # since the last carry; see LocalTable.
 CARRY_AFTER = 1 << 30
-# Rows write out in chunks of about this many table entries. A chunk's
+# Rows write out in chunks of at most this many table entries. A chunk's
 # scratch arrays take about 250 bytes per entry; on the geo-local benchmark
 # (2-core x86 host) chunks of 2^13 entries raised the peak memory of a
 # per-vertex and per-edge count by 1.2 MB more than 2^12, at the same speed.
@@ -179,7 +180,8 @@ class LocalTable:
         """Yield (entity, k, groups) for the nonzero counts, chunk by chunk.
 
         Each chunk covers a range of entities whose rows, narrow and wide,
-        hold about ``WRITE_CHUNK`` entries, and at least one nonzero count.
+        hold at most ``WRITE_CHUNK`` entries, or one entity's row that alone
+        holds more (``graph.csr_slices``), and at least one nonzero count.
         ``entity`` and ``k`` are arrays in row order, and ``groups`` holds
         the counts' base-10^4 digit groups, one row per count
         (``decimal_groups``). Wide rows are carried on a copy of their
@@ -187,9 +189,10 @@ class LocalTable:
         becomes a Python integer.
         """
         offsets = self.offsets
-        bounds = self._chunk_bounds()
+        wide = np.zeros_like(offsets)
+        wide[self.wide + 1] = self.wide_widths
         shifts = LIMB_BITS * np.arange(len(self.planes))[:, None]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for lo, hi in csr_slices(offsets + np.cumsum(wide), WRITE_CHUNK):
             a = offsets[lo]
             values = self.flat[a:offsets[hi]]
             at = np.flatnonzero(values)
@@ -212,17 +215,6 @@ class LocalTable:
                                        axis=1)[:, order]
             if len(entity):
                 yield entity, k, decimal_groups(limbs)
-
-    def _chunk_bounds(self) -> list[int]:
-        """Entity bounds of chunks of about ``WRITE_CHUNK`` entries."""
-        wide = np.zeros_like(self.offsets)
-        wide[self.wide + 1] = self.wide_widths
-        ends = self.offsets + np.cumsum(wide)
-        stops = np.searchsorted(ends, np.arange(WRITE_CHUNK, ends[-1],
-                                                WRITE_CHUNK))
-        # Ascending, so a repeated bound follows its twin.
-        bounds = np.concatenate(([0], stops, [len(ends) - 1]))
-        return bounds[np.diff(bounds, prepend=-1) > 0].tolist()
 
     def max_count(self) -> int:
         return max([int(self.flat.max(initial=0)),
@@ -519,15 +511,11 @@ class LeafBatches:
                                + found % span]
         ids = np.insert(members.astype(np.int64), start - np.arange(len(h)),
                         roots)
-        cost = np.cumsum(size * (size + 1) // 2)
-        lo = 0
-        while lo < len(cost):
-            spent = cost[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(cost, spent + LEAF_BATCH,
-                                                 "right")))
+        cost = np.zeros(len(size) + 1, dtype=np.int64)
+        np.cumsum(size * (size + 1) // 2, out=cost[1:])
+        for lo, hi in csr_slices(cost, LEAF_BATCH):
             accumulate_leaf(self, h[lo:hi], p[lo:hi],
                             ids[start[lo]:end[hi - 1]])
-            lo = hi
 
 
 def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
@@ -573,15 +561,15 @@ def accumulate_leaf(batches: LeafBatches, h: np.ndarray, p: np.ndarray,
     return increments
 
 
-def count_roots_global(orientation: DegeneracyOrientation, roots,
+def count_roots_global(orientation: DegeneracyOrientation, roots: range,
                        max_hold: int | None = None) -> TraversalStats:
-    """Shape of the given roots' subtrees, for ``global_tables``.
+    """Shape of a range of roots' subtrees, for ``global_tables``.
 
     ``sct.walk_roots`` without a callback, so the level walk
     (``sct.walk_levels``): the node count and the leaf histogram by (|H|,
-    |P|) of ``traverse``'s tree restricted to ``roots``. ``global_tables``
-    turns any number of these results, for disjoint sets of roots, into
-    counts.
+    |P|) of ``traverse``'s tree restricted to ``roots``, consecutive
+    vertex ids. ``global_tables`` turns any number of these results, for
+    disjoint ranges of roots, into counts.
     """
     return sct.walk_roots(orientation, roots, max_hold=max_hold)
 
@@ -590,7 +578,7 @@ def global_tables(graph: Graph, alpha: int, parts, max_k: int | None = None,
                   tables: CountTables | None = None) -> CountTables:
     """Global counts and tree shape from the shapes of disjoint subtrees.
 
-    ``parts`` are ``TraversalStats`` of disjoint sets of roots, in any
+    ``parts`` are ``TraversalStats`` of disjoint ranges of roots, in any
     order: the results of ``count_roots_global``, or the one of
     ``traverse``. Their node counts and leaf histograms are added up and
     kept as ``tables.stats``. A leaf with hold set H and pivot set P adds

@@ -94,16 +94,19 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
-        """Build a normalized graph from (u, v) pairs of dense integer ids.
+        """Build a normalized graph from (u, v) pairs of dense integer ids,
+        an array of shape (m, 2) or any iterable of pairs.
 
         Self-loops are dropped and duplicates collapsed. ``n`` defaults to
         max id + 1; pass it explicitly to keep trailing isolated vertices.
         """
-        pairs = [(int(u), int(v)) for u, v in edges]
-        if n is None:
-            n = 1 + max((max(u, v) for u, v in pairs), default=-1)
-        n = int(n)
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        arr = np.asarray(edges, dtype=np.int64)
+        if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+            raise ValueError("edges must be (u, v) pairs")
+        arr = arr.reshape(-1, 2)
+        n = 1 + int(arr.max(initial=-1)) if n is None else int(n)
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("vertex id out of range")
         return cls(n, *_edge_csr(n, _edge_keys(arr[:, 0], arr[:, 1])))
@@ -205,14 +208,17 @@ def _edge_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return offsets, keys.view(np.int32)
 
 
-def csr_slices(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges [lo, hi) of the CSR with these offsets, each
-    of as many rows as fit in ``CSR_SLICE`` entries, or of one row that
-    alone holds more."""
-    lo, n = 0, len(offsets) - 1
+def csr_slices(ends: np.ndarray, size: int | None = None
+               ) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of the items whose running sum of
+    sizes is ``ends`` (one more entry than items, such as CSR offsets),
+    each of as many items as fit in ``size`` (``CSR_SLICE`` if None), or
+    of one item that alone holds more. Items of size 0 join a range."""
+    size = CSR_SLICE if size is None else size
+    lo, n = 0, len(ends) - 1
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(
-            offsets, offsets[lo] + CSR_SLICE, side="right")) - 1)
+            ends, ends[lo] + size, side="right")) - 1)
         yield lo, hi
         lo = hi
 

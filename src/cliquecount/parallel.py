@@ -2,7 +2,7 @@
 
 The clique-tree children of the root are independent counting problems
 over the out-neighborhoods N+(v), so the roots can be counted in any
-split. ``counting.count_roots_global`` walks a set of roots with the
+split. ``counting.count_roots_global`` walks a range of roots with the
 level walk, ``sct.walk_levels``, and returns the shape of their
 subtrees, a ``TraversalStats``: the node count and the leaves tallied by
 (|H|, |P|).
@@ -11,9 +11,10 @@ into counts. The merge is integer addition, so the result is identical
 for any worker count and any scheduling order.
 
 ``count_global_parallel`` is the one global count. With one worker, or
-where fork is unavailable, it counts all roots as one batch in this
-process. With more, it maps the same call over batches of roots in a
-fork pool of at most as many processes as this process may run on.
+where fork is unavailable, it counts all roots as one range in this
+process. With more, it maps the same call over consecutive ranges of
+roots of about equal set-up work (``sct.root_work``) in a fork pool of
+at most as many processes as this process may run on.
 Workers inherit the orientation's out-CSR arrays by forking, so nothing
 large is pickled and nothing is built before the fork. A worker that
 dies ends the count with ``WorkerCrashError``. Local (per-vertex,
@@ -25,12 +26,10 @@ from __future__ import annotations
 import logging
 import os
 
-import numpy as np
-
-from . import counting
+from . import counting, sct
 from .degeneracy import DegeneracyOrientation
 from .errors import WorkerCrashError
-from .graph import Graph
+from .graph import Graph, csr_slices
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +52,15 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1  # pragma: no cover - no affinity mask
 
 
-def _root_batches(orientation: DegeneracyOrientation, n_batches: int):
-    """Stripe roots, heaviest first, so batch loads stay balanced."""
-    by_cost = np.argsort(-orientation.out_degrees(), kind="stable")
-    return [by_cost[i::n_batches] for i in range(n_batches)]
+def _root_batches(orientation: DegeneracyOrientation, n_batches: int
+                  ) -> list[range]:
+    """Cut the roots into consecutive ranges of about equal set-up work:
+    each holds at most a ``n_batches``-th of the work, rounded up, or one
+    root that alone has more (``graph.csr_slices``)."""
+    work = sct.root_work(orientation.out_offsets, orientation.out_targets,
+                         orientation.out_degrees(), range(orientation.n))
+    share = -(-int(work[-1]) // n_batches)
+    return [range(lo, hi) for lo, hi in csr_slices(work, share)]
 
 
 def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
@@ -67,9 +71,9 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
     Bit-identical for every ``workers`` value; the batches' shapes are
     merged only after all of them are counted. ``workers`` is capped at
     the number of usable CPUs; more than one forks a pool of that many
-    processes, which count ``BATCHES_PER_WORKER`` batches each (fewer
-    for a graph of fewer vertices). A worker that dies, killed or out of
-    memory, raises ``WorkerCrashError``.
+    processes, which count about ``BATCHES_PER_WORKER`` ranges of roots
+    each (fewer for a graph of fewer vertices). A worker that dies,
+    killed or out of memory, raises ``WorkerCrashError``.
     """
     global _SHARED
     if workers < 1:
@@ -88,10 +92,10 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
     _SHARED = orientation, max_k
     try:
         if context is None:
-            parts = [_count_batch(np.arange(graph.n))]
+            parts = [_count_batch(range(graph.n))]
         else:
-            batches = _root_batches(
-                orientation, min(graph.n, workers * BATCHES_PER_WORKER))
+            batches = _root_batches(orientation,
+                                    workers * BATCHES_PER_WORKER)
             try:
                 with ProcessPoolExecutor(
                         max_workers=min(workers, len(batches)) or 1,

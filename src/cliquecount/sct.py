@@ -19,11 +19,12 @@ root and its hold and pivot links as bits over the root's out-neighbors.
 ``walk_root`` is the reference walker: it walks one root's subtree in
 pre-order, storing only the current path, and calls back at every node
 (``traverse``'s per-leaf sink, ``materialize_sct`` and the tests).
-``walk_roots`` is their one front end: it sets roots up in chunks, every
-root's rows built in numpy by ``_chunk_rows`` whatever its width, hands
-them to one walker or the other, and settles the edge-free roots of a
-global-only count in closed form. ``traverse`` runs it over all roots in
-id order, and ``counting.count_roots_global`` over any set of roots.
+``walk_roots`` is their one front end: it sets a range of roots up in
+consecutive chunks, every root's rows built in numpy by ``_chunk_rows``
+whatever its width, hands them to one walker or the other, and settles
+the edge-free roots of a global-only count in closed form. ``traverse``
+runs it over all roots in id order, and ``counting.count_roots_global``
+over any range of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .graph import Graph, csr_slices
 
 DEFAULT_NODE_CAP = 10 ** 6
 
-# Roots are set up in chunks of about max(ROOT_CHUNK_WORK, m //
+# Roots are set up in chunks of at most max(ROOT_CHUNK_WORK, m //
 # ROOT_CHUNK_SHARE) oriented edges plus wedges, m the number of oriented
 # edges. A chunk's scratch arrays (about 70 bytes per unit) thus stay a
 # fixed share of the out-CSR on large graphs and well below the graph's
@@ -119,24 +120,26 @@ def traverse(graph: Graph,
     def on_node(mask, members, hold, pivots):
         if not mask:
             sink(hold, pivots)
-    return walk_roots(orientation, np.arange(graph.n), max_hold,
+    return walk_roots(orientation, range(graph.n), max_hold,
                       None if sink is None else on_node, batches)
 
 
-def walk_roots(orientation: DegeneracyOrientation, roots,
+def walk_roots(orientation: DegeneracyOrientation, roots: range,
                max_hold: int | None = None, on_node=None,
                batches=None) -> TraversalStats:
-    """Walk the subtrees of the given roots' hold links; return their shape.
+    """Walk the subtrees of a range of roots' hold links; return their shape.
 
-    Roots are set up in chunks (``root_chunks``, ``_chunk_rows``). With
-    ``on_node``, ``walk_root`` walks every root, in the given order, and
-    calls it as there. Otherwise ``walk_levels`` walks them: their rows
-    are kept over consecutive chunks, grouped by the number of words per
+    ``roots`` are consecutive vertex ids. They are set up in consecutive
+    chunks (``_chunk_rows``) of at most max(``ROOT_CHUNK_WORK``, m //
+    ``ROOT_CHUNK_SHARE``) units of ``root_work``, m the number of
+    oriented edges, or of one root that alone has more. With
+    ``on_node``, ``walk_root`` walks every root, in id order, and calls
+    it as there. Otherwise ``walk_levels`` walks them: their rows are
+    kept over consecutive chunks, grouped by the number of words per
     row, until they come to min(``LEVEL_ROW_WORDS``, m // ``LEVEL_SHARE``)
-    words, m the number of oriented edges, and each group is then walked
-    at once. With ``batches``, every root is walked, and
-    each batch of leaves goes to ``batches.add(roots, hold, pivots)``
-    (``counting.LeafBatches``). Without, only the roots whose subproblem
+    words, and each group is then walked at once. With ``batches``,
+    every root is walked, and each batch of leaves goes to
+    ``batches.add(roots, hold, pivots)`` (``counting.LeafBatches``). Without, only the roots whose subproblem
     has an edge are walked. The others have the fixed two-level tree of
     an edge-free subproblem and are settled in closed form, all at once.
     The shape is the same either way.
@@ -147,7 +150,6 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     offsets = orientation.out_offsets
     targets = orientation.out_targets
     out_deg = np.diff(offsets)
-    roots = np.asarray(roots, dtype=np.int64)
     # Out-degrees of the roots left to the closed form, and the rows,
     # out-degrees and ids of the roots that wait for the level walk, by
     # the number of words of their rows (one word for a root without
@@ -157,11 +159,13 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
     waiting_words = 0
     budget = min(LEVEL_WORDS, len(targets) // LEVEL_SHARE)
     waiting_cap = min(LEVEL_ROW_WORDS, len(targets) // LEVEL_SHARE)
-    for lo, hi in root_chunks(offsets, targets, out_deg, roots):
+    work = root_work(offsets, targets, out_deg, roots)
+    step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
+    for lo, hi in csr_slices(work, step):
         chunk = roots[lo:hi]
         rows, first, busy = _chunk_rows(offsets, targets, out_deg, chunk)
         if on_node is not None:
-            for i, v in enumerate(chunk.tolist()):
+            for i, v in enumerate(chunk):
                 members = targets[offsets[v]:offsets[v + 1]].tolist()
                 walk_root(stats, v, members,
                           _int_rows(rows[first[i]:first[i + 1]], len(members)),
@@ -169,14 +173,14 @@ def walk_roots(orientation: DegeneracyOrientation, roots,
             continue
         if batches is not None:
             busy[:] = True
-        sizes = out_deg[chunk]
+        sizes = out_deg[chunk.start:chunk.stop]
         settled.append(sizes[~busy])
         words = np.maximum(-(-sizes // WORD_BITS), 1)
         for width in np.flatnonzero(np.bincount(words[busy])).tolist():
             pick = busy & (words == width)
             waiting.setdefault(width, []).append(
                 (rows[np.repeat(pick, sizes * words)], sizes[pick],
-                 chunk[pick]))
+                 np.flatnonzero(pick) + chunk.start))
         waiting_words += int((sizes * words)[busy].sum())
         if waiting_words >= waiting_cap:
             _walk_waiting(stats, waiting, max_hold, batches, budget)
@@ -303,12 +307,13 @@ def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
     ``sink``, nodes also carry the hold and the pivot links of their path
     below the root, as bits over the root's members (W words each), and
     ``sink(root, hold, pivots)`` receives each batch's leaves. A level is
-    walked in batches (``_walk_batch``) of at most ``budget`` words of
-    members' rows (``walk_roots`` passes min(``LEVEL_WORDS``, m //
-    ``LEVEL_SHARE``)), and their children make the next level. Once that
-    holds ``LEVEL_NODES`` nodes, the rest of the level waits on a stack
-    and the next level is walked first, deepest slice first, so a wide
-    tree never holds a whole level.
+    walked in consecutive batches (``_walk_batch``, cut by
+    ``graph.csr_slices``) of at most ``budget`` words of members' rows, or
+    of one node that alone has more (``walk_roots`` passes
+    min(``LEVEL_WORDS``, m // ``LEVEL_SHARE``)), and their children make
+    the next level. Once that holds ``LEVEL_NODES`` nodes, the rest of the
+    level waits on a stack and the next level is walked first, deepest
+    slice first, so a wide tree never holds a whole level.
     """
     width = rows.shape[1]
     first = np.cumsum(sizes) - sizes
@@ -321,20 +326,19 @@ def walk_levels(stats: TraversalStats, rows: np.ndarray, sizes: np.ndarray,
     while stack:
         depth, nodes = stack.pop()
         members = np.bitwise_count(nodes[1]).sum(axis=1, dtype=np.int64)
-        cost = np.cumsum((members + 8) * width)
+        cost = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum((members + 8) * width, out=cost[1:])
         done = 0
         below = []
         room = LEVEL_NODES
-        while done < len(cost) and room > 0:
-            spent = cost[done - 1] if done else 0
-            stop = max(done + 1, int(np.searchsorted(cost, spent + budget,
-                                                     "right")))
+        for lo, done in csr_slices(cost, budget):
             below.append(_walk_batch(stats, rows, depth,
-                                     [x[done:stop] for x in nodes], first,
+                                     [x[lo:done] for x in nodes], first,
                                      max_hold, sink))
             room -= len(below[-1][0])
-            done = stop
-        if done < len(cost):
+            if room <= 0:
+                break
+        if done < len(members):
             stack.append((depth, [x[done:] for x in nodes]))
         if room < LEVEL_NODES:
             stack.append((depth + 1, [np.concatenate(x) for x in zip(*below)]))
@@ -437,35 +441,29 @@ def _tally(tally: dict, depth: int, h: np.ndarray) -> None:
         tally[key] = tally.get(key, 0) + int(found[i])
 
 
-def root_chunks(offsets, targets, out_deg, roots) -> list[tuple[int, int]]:
-    """Cut ``roots`` into consecutive (lo, hi) slices of similar set-up work.
+def root_work(offsets, targets, out_deg, roots: range) -> np.ndarray:
+    """Running set-up work of a range of roots, from 0 before the first.
 
-    A root's work is its out-degree plus its wedges v->u->w; a slice holds
-    about max(``ROOT_CHUNK_WORK``, m // ``ROOT_CHUNK_SHARE``) of it, m the
-    number of oriented edges. Every vertex's wedges are summed over
-    slices of the out-CSR (``graph.csr_slices``), so no temporary has an
-    entry per edge.
+    A root's work is its out-degree plus its wedges v->u->w, so each edge
+    v->u costs 1 + out-degree(u). The sums run over slices of the roots'
+    out-CSR rows (``graph.csr_slices``), so no temporary has an entry per
+    edge, and read no row outside the range.
     """
-    wedges = np.empty(len(out_deg), dtype=np.int64)
-    for lo, hi in csr_slices(offsets):
-        # A running sum over the slice's edges, from 0 at its first.
-        through = np.zeros(int(offsets[hi] - offsets[lo]) + 1, dtype=np.int64)
-        np.cumsum(out_deg[targets[offsets[lo]:offsets[hi]]], out=through[1:])
-        bounds = through[offsets[lo:hi + 1] - offsets[lo]]
-        np.subtract(bounds[1:], bounds[:-1], out=wedges[lo:hi])
-    work = np.cumsum(out_deg[roots] + wedges[roots])
-    del wedges
-    total = int(work[-1]) if len(work) else 0
-    step = max(ROOT_CHUNK_WORK, len(targets) // ROOT_CHUNK_SHARE)
-    cuts = np.searchsorted(work, np.arange(step, total, step), side="right")
-    # Ascending, so a repeated bound follows its twin.
-    bounds = np.concatenate(([0], cuts, [len(roots)]))
-    bounds = bounds[np.diff(bounds, prepend=-1) > 0].tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
+    rows = offsets[roots.start:roots.stop + 1]
+    work = np.zeros(len(rows), dtype=np.int64)
+    for lo, hi in csr_slices(rows):
+        # The wedges over the slice's edges, a running sum from 0 at its
+        # first; up to a row's end, they and the edges add to its work.
+        through = np.zeros(int(rows[hi] - rows[lo]) + 1, dtype=np.int64)
+        np.cumsum(out_deg[targets[rows[lo]:rows[hi]]], out=through[1:])
+        edges = rows[lo + 1:hi + 1] - rows[lo]
+        work[lo + 1:hi + 1] = through[edges]
+        work[lo + 1:hi + 1] += edges + work[lo]
+    return work
 
 
 def _chunk_rows(offsets, targets, out_deg, roots):
-    """Bitmask rows of a chunk of roots, in uint64 words.
+    """Bitmask rows of a range of roots, in uint64 words.
 
     Returns (rows, first, busy). A root with d out-neighbors has d rows of
     ceil(d / ``WORD_BITS``) words each, least significant word first: bit
@@ -475,11 +473,11 @@ def _chunk_rows(offsets, targets, out_deg, roots):
     edge. Every wedge root->u->w is closed by a binary search for the edge
     root->w, and each closed wedge sets one bit in the rows of u and w.
     """
-    sizes = out_deg[roots]
-    start = np.cumsum(sizes) - sizes
+    sizes = out_deg[roots.start:roots.stop]
     root_of = np.repeat(np.arange(len(roots), dtype=np.int64), sizes)
-    local = np.arange(len(root_of), dtype=np.int64) - start[root_of]
-    u = targets[offsets[roots][root_of] + local]
+    local = np.arange(len(root_of), dtype=np.int64)
+    local -= (np.cumsum(sizes) - sizes)[root_of]
+    u = targets[offsets[roots.start]:offsets[roots.stop]]
     words = -(-sizes // WORD_BITS)
     ends = np.cumsum(sizes * words)
     # The first word of each out-neighbor's row.
@@ -634,7 +632,7 @@ def materialize_sct(graph: Graph,
         del path[depth:]
         path.append((node, len(pivots)))
 
-    walk_roots(orientation, np.arange(graph.n), on_node=record)
+    walk_roots(orientation, range(graph.n), on_node=record)
     return root
 
 

@@ -218,9 +218,7 @@ def _desk_scale_proxy_graph():
         planted = np.array([(i, j) for i in range(11) for j in range(i + 1, 11)],
                            dtype=np.int64)
         pairs = np.concatenate([pairs, planted])
-        from cliquecount.graph import _edge_csr, _edge_keys
-        offsets, neighbors = _edge_csr(n, _edge_keys(pairs[:, 0], pairs[:, 1]))
-        _cache["proxy"] = Graph(n, offsets, neighbors)
+        _cache["proxy"] = Graph.from_edges(pairs, n=n)
     return _cache["proxy"]
 
 

@@ -503,6 +503,13 @@ def test_local_text_matches_reference_formatter(write_chunk, carried,
     assert max(max(tables.per_vertex.row(v)) for v in range(graph.n)) >= 2 ** 63
     for table in (tables.per_vertex, tables.per_edge):
         assert 0 < len(table.wide) < len(table.offsets) - 1
+        # A chunk's rows, narrow and wide, hold at most WRITE_CHUNK entries,
+        # or it is one entity's.
+        widths = np.diff(table.offsets)
+        widths[table.wide] = table.wide_widths
+        for entity, _, _ in table.entries():
+            assert widths[entity[0]:entity[-1] + 1].sum() <= \
+                counting.WRITE_CHUNK or entity[0] == entity[-1]
         if not carried:
             table.planes[0] += 1 << counting.LIMB_BITS
             table.planes[1] -= 1

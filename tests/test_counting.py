@@ -589,8 +589,7 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             assert {63, 64, 65} <= out_degrees and max(out_degrees) >= 70
         else:
             assert {127, 128, 129} <= out_degrees and max(out_degrees) >= 130
-        roots = list(range(g.n))
-        random.Random(seed).shuffle(roots)
+        roots = range(g.n)
         for max_k in (None, 1, 2, 3, 5):
             raw, counts, stats, _ = _traverse_reference(g, o, max_k)
             chunks.clear()
@@ -603,10 +602,12 @@ def test_global_engine_matches_traverse(build, chunk_work, monkeypatch):
             merged = counting.global_tables(g, o.alpha, [whole])
             assert merged.global_counts == _strip(raw), (seed, max_k)
             assert merged.stats == stats, (seed, max_k)
-            # Three slices of the shuffled roots merge to the same result.
+            # Thirds of the roots, one of them split into an empty range,
+            # a one-root range and the rest, merge to the same result.
             cut = len(roots) // 3
             slices = [counting.count_roots_global(o, part, max_hold=max_k)
-                      for part in (roots[:cut], roots[cut:2 * cut],
+                      for part in (roots[:cut], roots[cut:cut],
+                                   roots[cut:cut + 1], roots[cut + 1:2 * cut],
                                    roots[2 * cut:])]
             for parts in ([whole], slices):
                 merged = counting.global_tables(g, o.alpha, parts, max_k)
@@ -674,8 +675,7 @@ def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
         words = -(-d // sct.WORD_BITS)
         monkeypatch.setattr(sct, "LEVEL_ROW_WORDS", int((d * words).sum()) // 4)
         monkeypatch.setattr(sct, "LEVEL_WORDS", 2 * int(((d + 8) * words).max()))
-        roots = list(range(g.n))
-        random.Random(seed).shuffle(roots)
+        roots = range(g.n)
         for max_k in (None, 1, 2, 3, 5):
             _, counts, stats, leaves = _traverse_reference(g, o, max_k)
             for log in (chunks, depths, starts):
@@ -686,9 +686,12 @@ def test_level_walk_in_slices_matches_traverse(build, monkeypatch):
             assert any(depths[i] < depths[i - 1]
                        for i in set(range(1, len(depths))) - set(starts)), (
                 seed, max_k)
+            # Halves of the roots, with an empty range and a one-root
+            # range cut from the second, merge to the same result.
             cut = len(roots) // 2
             halves = [counting.count_roots_global(o, part, max_hold=max_k)
-                      for part in (roots[:cut], roots[cut:])]
+                      for part in (roots[:cut], roots[cut:cut],
+                                   roots[cut:cut + 1], roots[cut + 1:])]
             for parts in ([whole], halves):
                 merged = counting.global_tables(g, o.alpha, parts, max_k)
                 assert merged.global_counts == counts, (seed, max_k)

@@ -37,19 +37,31 @@ def test_load_collapses_self_loops_and_duplicates():
 @pytest.mark.parametrize("csr_slice", [1, 7, 64])
 def test_csr_slices_cover_the_rows(csr_slice, monkeypatch):
     # Consecutive ranges over every row, empty rows included, each as many
-    # rows as fit in the slice size, or one row that alone holds more.
-    monkeypatch.setattr(graph_module, "CSR_SLICE", csr_slice)
-    sizes = np.random.default_rng(csr_slice).integers(0, 20, 300)
+    # rows as fit in the slice size, or one row that alone holds more:
+    # the size read from CSR_SLICE, then given, over sizes of up to three
+    # slices, so that some rows alone are oversize.
+    sizes = np.random.default_rng(csr_slice).integers(0, 3 * csr_slice, 300)
     sizes[::17] = 0
+    sizes[::23] = 3 * csr_slice
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    slices = list(graph_module.csr_slices(offsets))
-    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
-    assert slices[-1][1] == len(sizes)
-    for lo, hi in slices:
-        held = offsets[hi] - offsets[lo]
-        assert held <= csr_slice or hi == lo + 1
-        assert hi == len(sizes) or offsets[hi + 1] - offsets[lo] > csr_slice
+    monkeypatch.setattr(graph_module, "CSR_SLICE", csr_slice)
+    read = list(graph_module.csr_slices(offsets))
+    monkeypatch.setattr(graph_module, "CSR_SLICE", 1 << 40)
+    for slices in (read, list(graph_module.csr_slices(offsets, csr_slice))):
+        assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+        assert slices[-1][1] == len(sizes)
+        assert any(offsets[hi] - offsets[lo] > csr_slice for lo, hi in slices)
+        for lo, hi in slices:
+            held = offsets[hi] - offsets[lo]
+            assert held <= csr_slice or hi == lo + 1
+            assert hi == len(sizes) or \
+                offsets[hi + 1] - offsets[lo] > csr_slice
     assert list(graph_module.csr_slices(np.zeros(1, dtype=np.int64))) == []
+    # Items of size 0 join the range they follow, or the first one.
+    assert list(graph_module.csr_slices(np.array([0, 0, 2, 2, 4, 4]), 2)) \
+        == [(0, 3), (3, 5)]
+    assert list(graph_module.csr_slices(np.zeros(4, dtype=np.int64), 0)) \
+        == [(0, 3)]
 
 
 def test_load_empty_input_is_empty_graph():
@@ -431,6 +443,30 @@ def test_are_adjacent_examples():
     assert not tri.are_adjacent(0, 0)
     path = path_graph(3)
     assert not path.are_adjacent(0, 2)
+
+
+def test_from_edges_takes_arrays_sequences_and_iterators():
+    pairs = [(0, 1), (1, 2), (2, 0), (3, 3), (1, 0), (2, 4)]
+    want = Graph.from_edges(pairs)
+    assert (want.n, want.m) == (5, 4)
+    assert [want.neighbors(v).tolist() for v in range(5)] == [
+        [1, 2], [0, 2], [0, 1, 4], [], [2]]
+    for make in (lambda: np.array(pairs), lambda: np.int32(pairs),
+                 lambda: [list(e) for e in pairs], lambda: tuple(pairs),
+                 lambda: iter(pairs), lambda: ((u, v) for u, v in pairs)):
+        assert Graph.from_edges(make()) == want
+        assert Graph.from_edges(make(), n=7).n == 7
+    for empty in ([], (), np.empty((0, 2), dtype=np.int64), iter([])):
+        g = Graph.from_edges(empty)
+        assert (g.n, g.m) == (0, 0) and g == Graph.from_edges([], n=0)
+        assert Graph.from_edges([], n=3) == Graph.from_edges(empty, n=3)
+    for bad, n in (([(0, 5)], 5), ([(-1, 2)], None), (np.array([[0, 3]]), 2),
+                   (((0, 1), (1, 9)), 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(bad, n=n)
+    for bad in ([(0, 1, 2)], [0, 1], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            Graph.from_edges(bad)
 
 
 def test_from_edges_keeps_isolated_vertices():

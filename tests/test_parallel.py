@@ -57,7 +57,9 @@ def test_parallel_fast_counters():
     assert par.global_counts == seq.global_counts
 
 
-def test_parallel_empty_graph():
+def test_parallel_empty_graph(monkeypatch):
+    # Two usable CPUs, so that the pool, with no roots to cut, runs.
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     g = empty_graph(0)
     tables = count_global_parallel(g, degeneracy_orient(g), workers=2)
     assert tables.global_counts == [0]
@@ -97,12 +99,38 @@ def test_pool_size_is_bounded(monkeypatch):
     o = degeneracy_orient(g)
     tables = count_global_parallel(g, o, workers=10_000)
     assert tables.global_counts == count(g, orientation=o).global_counts
-    # Fewer vertices, and so fewer batches, than usable CPUs.
+    # Fewer batches than usable CPUs: of K2's two roots, the one without
+    # out-neighbours has no work and joins the other's range.
     pair = complete_graph(2)
     tables = count_global_parallel(pair, degeneracy_orient(pair),
                                    workers=10_000)
     assert tables.global_counts == [0, 2, 1]
-    assert RecordingPool.sizes == [3, 2]
+    assert RecordingPool.sizes == [3, 1]
+
+
+@pytest.mark.parametrize("n_batches", [1, 2, 3, 8, 50])
+def test_root_batches_are_consecutive_ranges_of_equal_work(n_batches):
+    # Non-empty ranges that cover the roots once, in order, each holding at
+    # most its share of the set-up work (out-degree plus wedges) plus one
+    # root; the empty graph has none.
+    for g in (random_gnp(60, 0.3, 56), complete_graph(9), empty_graph(5),
+              empty_graph(0)):
+        o = degeneracy_orient(g)
+        d = o.out_degrees()
+        work = [int(d[v] + d[o.out_targets[o.out_offsets[v]:
+                                         o.out_offsets[v + 1]]].sum())
+                for v in range(g.n)]
+        batches = parallel._root_batches(o, n_batches)
+        assert all(isinstance(b, range) and b.step == 1 and len(b)
+                   for b in batches)
+        assert [v for b in batches for v in b] == list(range(g.n))
+        share = sum(work) / n_batches
+        for b in batches:
+            assert sum(work[v] for v in b) <= share + max(work[v] for v in b)
+        # A range only ends where the next root would not fit.
+        for b, c in zip(batches, batches[1:]):
+            assert sum(work[b.start:c.start + 1]) > share
+        assert len(batches) <= min(g.n, 2 * n_batches)
 
 
 def test_one_usable_cpu_counts_in_process(monkeypatch):

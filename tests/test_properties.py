@@ -155,8 +155,13 @@ def test_truncated_run_is_a_prefix_of_the_full_run(g):
 @given(clique_rich_graphs(), st.randoms(use_true_random=False))
 def test_global_engine_matches_traverse(g, rng):
     o = degeneracy_orient(g)
-    roots = list(range(g.n))
-    rng.shuffle(roots)
+    roots = range(g.n)
+    # Consecutive ranges that cover the roots: an empty one and a one-root
+    # one at a random point, and the rest cut at another.
+    a = rng.randrange(g.n)
+    b = rng.randint(a + 1, g.n)
+    parts = [roots[:a], roots[a:a], roots[a:a + 1], roots[a + 1:b],
+             roots[b:]]
     for max_k in (None, 1, 2, 3, 5):
         raw, shape = _global_reference(g, o, max_k)
         # The global-only engine (sct.walk_levels) against traverse's sink
@@ -169,6 +174,10 @@ def test_global_engine_matches_traverse(g, rng):
             assert count_roots_global(o, roots, max_hold=max_k) == engine
         tables = global_tables(g, o.alpha, [engine])
         stats = tables.stats
+        merged = global_tables(g, o.alpha, [
+            count_roots_global(o, part, max_hold=max_k) for part in parts])
+        assert merged.global_counts == tables.global_counts, max_k
+        assert merged.stats == stats, max_k
         assert (stats.node_count, stats.leaf_count,
                 stats.max_depth) == shape, max_k
         while len(raw) > 1 and raw[-1] == 0:

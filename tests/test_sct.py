@@ -94,26 +94,41 @@ def _clique_rich_graph(seed):
 
 @pytest.mark.parametrize("tail_slice", [1, 7, 64, graph_module.CSR_SLICE])
 def test_root_chunks_in_slices(tail_slice, monkeypatch):
-    # Wedges summed over slices of the out-CSR cut the roots where a
-    # running sum over all edges does; chunks of at least 5 units of work,
-    # so that there are many, on the clique-rich graph and on a 300-vertex
-    # random graph, roots in id order and shuffled.
+    # Sums over slices of the roots' out-CSR rows give the running sum of
+    # out-degree plus wedges over all edges, on the clique-rich graph and
+    # on a 300-vertex random graph, for all roots and for inner ranges.
+    # walk_roots cuts a range into consecutive chunks of that work, each of
+    # at most 5 units, so that there are many, or of one root.
     monkeypatch.setattr(graph_module, "CSR_SLICE", tail_slice)
     monkeypatch.setattr(sct, "ROOT_CHUNK_WORK", 5)
+    chunks = []
+    chunk_rows = sct._chunk_rows
+    monkeypatch.setattr(sct, "_chunk_rows", lambda *args: (
+        chunks.append(args[3]) or chunk_rows(*args)))
     for g in (_clique_rich_graph(3), random_gnp(300, 0.05, 11)):
         o = degeneracy_orient(g)
         offsets, targets = o.out_offsets, o.out_targets
         out_deg = np.diff(offsets)
         through = np.concatenate(([0], np.cumsum(out_deg[targets])))
-        for roots in (np.arange(g.n), np.random.default_rng(1).permutation(g.n)):
-            work = np.cumsum(out_deg[roots] + through[offsets[roots + 1]]
-                             - through[offsets[roots]])
+        each = out_deg + through[offsets[1:]] - through[offsets[:-1]]
+        for roots in (range(g.n, g.n), range(9, 10), range(5, g.n - 7),
+                      range(g.n)):
+            want = np.concatenate(([0], np.cumsum(each[roots.start:
+                                                       roots.stop])))
+            got = sct.root_work(offsets, targets, out_deg, roots)
+            assert got.tolist() == want.tolist()
+            chunks.clear()
+            sct.walk_roots(o, roots)
+            bounds = [roots.start] + [c.stop for c in chunks]
+            assert [c.start for c in chunks] == bounds[:-1]
+            assert bounds[-1] == roots.stop and all(chunks)
             step = max(5, len(targets) // sct.ROOT_CHUNK_SHARE)
-            cuts = np.searchsorted(work, np.arange(step, work[-1], step),
-                                   side="right")
-            bounds = sorted(set([0, *cuts.tolist(), g.n]))
-            assert sct.root_chunks(offsets, targets, out_deg, roots) == \
-                list(zip(bounds[:-1], bounds[1:]))
+            for c in chunks:
+                lo, hi = c.start - roots.start, c.stop - roots.start
+                assert want[hi] - want[lo] <= step or len(c) == 1
+                assert hi == len(roots) or want[hi + 1] - want[lo] > step
+        assert len(chunks) > 10
+        assert got.dtype == np.int64
 
 
 @pytest.mark.parametrize("seed", range(15))
