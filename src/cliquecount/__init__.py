@@ -10,8 +10,9 @@ surface.
 
 import importlib
 
-# The home module of each public name. A name's module is imported on
-# first use (PEP 562), so a command loads only the modules it runs.
+# The home module of each public name, the one list of them: ``__all__``
+# is built from it. A name's module is imported on first use (PEP 562),
+# so a command loads only the modules it runs.
 _HOMES = {
     "counting": ("CountTables", "LeafBatches", "count", "pascal_rows"),
     "degeneracy": ("DegeneracyOrientation", "core_numbers",
@@ -28,35 +29,7 @@ _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CliqueCensus",
-    "CliqueCountError",
-    "CountCheckError",
-    "CountTables",
-    "CounterOverflowError",
-    "DegeneracyOrientation",
-    "EdgeListParseError",
-    "Graph",
-    "LeafBatches",
-    "PathLabels",
-    "SctNode",
-    "SizeLimitError",
-    "TraversalStats",
-    "WorkerCrashError",
-    "compare",
-    "core_numbers",
-    "count",
-    "count_global_parallel",
-    "degeneracy_orient",
-    "edge_list_text",
-    "enumerate_all_cliques",
-    "load_edge_list",
-    "materialize_sct",
-    "pascal_rows",
-    "traverse",
-    "verify_unique_representation",
-    "write_edge_list",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

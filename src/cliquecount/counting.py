@@ -21,7 +21,6 @@ otherwise.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -31,8 +30,6 @@ from .degeneracy import DegeneracyOrientation, degeneracy_orient
 from .errors import CountCheckError, CounterOverflowError
 from .graph import Graph, csr_slices
 from .sct import TraversalStats, traverse
-
-log = logging.getLogger(__name__)
 
 # Envelope of the fixed-width counter mode (signed 64-bit range).
 FAST_COUNTER_MAX = 2 ** 63 - 1
@@ -331,11 +328,12 @@ class CountTables:
     Queries return 0 for a k outside the table and for a pair that is no
     edge. A vertex id outside [0, n) or a query on a table that was not
     requested raises ValueError. ``local_tables`` lays out the local
-    tables.
+    tables. ``max_k`` is the cap the tables were counted under (None for
+    all k), and ``workers`` the number of processes that counted them.
     """
 
     __slots__ = ("n", "global_counts", "per_vertex", "per_edge",
-                 "edge_codes", "stats", "alpha")
+                 "edge_codes", "stats", "alpha", "max_k", "workers")
 
     def __init__(self, graph: Graph, per_vertex: LocalTable | None = None,
                  per_edge: LocalTable | None = None,
@@ -347,6 +345,8 @@ class CountTables:
         self.edge_codes = edge_codes
         self.stats: TraversalStats | None = None
         self.alpha: int | None = None
+        self.max_k: int | None = None
+        self.workers = 1
 
     # -- queries ---------------------------------------------------------
 
@@ -584,9 +584,9 @@ def global_tables(graph: Graph, alpha: int, parts, max_k: int | None = None,
     kept as ``tables.stats``. A leaf with hold set H and pivot set P adds
     the binomial row C(|P|, i) to C_{|H|+i}, so each distinct (|H|, |P|)
     pair's row is added once, times its number of leaves. Counts past
-    ``max_k`` are dropped. The global counts, the stats and alpha go on
-    ``tables`` (local tables filled by ``LeafBatches``), or on new
-    global-only tables. Every count sets them here.
+    ``max_k`` are dropped. The global counts, the stats, alpha and
+    ``max_k`` go on ``tables`` (local tables filled by ``LeafBatches``),
+    or on new global-only tables. Every count sets them here.
     """
     stats = TraversalStats()
     for part in parts:
@@ -603,6 +603,7 @@ def global_tables(graph: Graph, alpha: int, parts, max_k: int | None = None,
     tables.global_counts = counts
     tables.stats = stats
     tables.alpha = alpha
+    tables.max_k = max_k
     tables._trim(max_k)
     return tables
 
@@ -615,9 +616,10 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
 
     Runs the degeneracy orientation and the clique-tree walk with the
     leaf-accumulation rules. Global-only counting runs
-    ``parallel.count_global_parallel``: in this process for one thread,
-    else across ``threads`` worker processes. Local counting is
-    single-threaded. ``counters`` selects "exact" (unbounded
+    ``parallel.count_global_parallel``, which decides how many processes
+    count, at most ``threads``; local counting runs in this process,
+    whatever ``threads``. The tables' ``workers`` is the number of
+    processes that counted. ``counters`` selects "exact" (unbounded
     integers, the default) or "fast" (the same counts, checked against
     the signed 64-bit range: CounterOverflowError if any count exceeds
     it, never a wrapped value). Every count checks C_1 = n and, unless
@@ -633,9 +635,6 @@ def count(graph: Graph, *, per_vertex: bool = False, per_edge: bool = False,
         orientation = degeneracy_orient(graph)
 
     if per_vertex or per_edge:
-        if threads > 1:
-            log.warning("local clique counting is single-threaded; "
-                        "ignoring threads=%d", threads)
         tables = CountTables(graph, *local_tables(orientation, max_k,
                                                   per_vertex, per_edge))
         stats = traverse(graph, orientation, max_hold=max_k,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -493,7 +494,8 @@ def _labels(keys: np.ndarray) -> list[str]:
 def load_edge_list(source) -> Graph:
     """Load and normalize a whitespace edge list.
 
-    ``source`` may be a file path (``.gz`` read through gzip), inline text
+    ``source`` may be a file path, as a str or any ``os.PathLike`` such as
+    a ``pathlib.Path`` (``.gz`` read through gzip), inline text
     containing newlines, a byte string, an open text or binary stream
     (such as ``sys.stdin.buffer``), or any iterable of lines, each with or
     without its "\\n". The input is read in newline-aligned pieces of
@@ -513,15 +515,18 @@ def load_edge_list(source) -> Graph:
     a buffer that grows with the input, and ``_edge_csr`` turns that
     buffer into the graph's neighbours.
     """
-    # A string without a newline (and not empty) is a path; canonical
-    # writer output ends every line with one, so round-trips stay inline.
-    if isinstance(source, str) and "\n" not in source and source != "":
-        if source.endswith(".gz"):
+    # A path-like object is a path, and so is a string without a newline
+    # (and not empty); canonical writer output ends every line with one,
+    # so round-trips stay inline.
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and "\n" not in source and source != ""):
+        path = os.fsdecode(source)
+        if path.endswith(".gz"):
             import gzip
             opener = gzip.open
         else:
             opener = open
-        with opener(source, "rb") as fh:
+        with opener(path, "rb") as fh:
             return _load(_file_blocks(fh))
     return _load(_blocks(source))
 

@@ -144,11 +144,17 @@ class ComparisonResult:
 def compare(census: CliqueCensus, tables: CountTables) -> ComparisonResult:
     """Exact equality check of counter output against the census.
 
-    Compares global counts over all k, and local tables when the counter
-    produced them. The verdict names the first mismatching entry.
+    Compares global counts, and local tables when the counter produced
+    them, for every k up to the tables' ``max_k`` (every k when None). The
+    verdict names the first mismatching entry.
     """
+    def ks(start: int, width: int) -> range:
+        if tables.max_k is not None:
+            width = min(width, tables.max_k + 1)
+        return range(start, width)
+
     top = max(len(census.global_counts), len(tables.global_counts))
-    for k in range(1, top):
+    for k in ks(1, top):
         expected = census.global_count(k)
         got = tables.global_count(k)
         if expected != got:
@@ -157,7 +163,7 @@ def compare(census: CliqueCensus, tables: CountTables) -> ComparisonResult:
     if tables.per_vertex is not None:
         for v in range(census.n):
             width = max(len(census.per_vertex[v]), len(tables.vertex_row(v)))
-            for k in range(1, width):
+            for k in ks(1, width):
                 expected = census.vertex_count(v, k)
                 got = tables.vertex_count(v, k)
                 if expected != got:
@@ -174,7 +180,7 @@ def compare(census: CliqueCensus, tables: CountTables) -> ComparisonResult:
         for u, v in table_edges:
             census_row = census.per_edge.get((u, v), [])
             width = 2 + max(len(tables.edge_row(u, v)), len(census_row))
-            for k in range(2, width):
+            for k in ks(2, width):
                 expected = census.edge_count(u, v, k)
                 got = tables.edge_count(u, v, k)
                 if expected != got:

@@ -10,11 +10,14 @@ subtrees, a ``TraversalStats``: the node count and the leaves tallied by
 into counts. The merge is integer addition, so the result is identical
 for any worker count and any scheduling order.
 
-``count_global_parallel`` is the one global count. With one worker, or
-where fork is unavailable, it counts all roots as one range in this
-process. With more, it maps the same call over consecutive ranges of
-roots of about equal set-up work (``sct.root_work``) in a fork pool of
-at most as many processes as this process may run on.
+``count_global_parallel`` is the one global count, and the one place
+that decides how many processes count: the threads asked for, capped at
+the CPUs this process may run on and at the number of consecutive root
+ranges of about equal set-up work (``sct.root_work``), and at least one.
+With one, or where fork is unavailable, it counts all roots as one range
+in this process; with more, it maps the same call over the ranges in a
+fork pool of that many processes. The number is kept as the tables'
+``workers``.
 Workers inherit the orientation's out-CSR arrays by forking, so nothing
 large is pickled and nothing is built before the fork. A worker that
 dies ends the count with ``WorkerCrashError``. Local (per-vertex,
@@ -23,15 +26,12 @@ per-edge) counting is deliberately not parallelized.
 
 from __future__ import annotations
 
-import logging
 import os
 
 from . import counting, sct
 from .degeneracy import DegeneracyOrientation
 from .errors import WorkerCrashError
 from .graph import Graph, csr_slices
-
-log = logging.getLogger(__name__)
 
 BATCHES_PER_WORKER = 4
 
@@ -70,39 +70,43 @@ def count_global_parallel(graph: Graph, orientation: DegeneracyOrientation,
 
     Bit-identical for every ``workers`` value; the batches' shapes are
     merged only after all of them are counted. ``workers`` is capped at
-    the number of usable CPUs; more than one forks a pool of that many
-    processes, which count about ``BATCHES_PER_WORKER`` ranges of roots
-    each (fewer for a graph of fewer vertices). A worker that dies,
-    killed or out of memory, raises ``WorkerCrashError``.
+    the number of usable CPUs and at the number of root ranges, about
+    ``BATCHES_PER_WORKER`` per worker (fewer for a graph of fewer
+    vertices). Where that leaves one, or fork is unavailable, the roots
+    are counted in this process; otherwise a fork pool of that many
+    processes counts the ranges. The tables' ``workers`` is the number
+    of processes that counted. A worker that dies, killed or out of
+    memory, raises ``WorkerCrashError``.
     """
     global _SHARED
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, _usable_cores())
-    context = None
+    batches = (_root_batches(orientation, workers * BATCHES_PER_WORKER)
+               if workers > 1 else [])
+    workers = max(1, min(workers, len(batches)))
     if workers > 1:
-        # Imported only to fork: a one-worker count loads none of them.
+        # Imported only to fork: an in-process count loads none of them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platform
-            log.warning("fork start method unavailable; counting sequentially")
-    _SHARED = orientation, max_k
-    try:
-        if context is None:
-            parts = [_count_batch(range(graph.n))]
-        else:
-            batches = _root_batches(orientation,
-                                    workers * BATCHES_PER_WORKER)
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(workers, len(batches)) or 1,
-                        mp_context=context) as pool:
-                    parts = list(pool.map(_count_batch, batches))
-            except BrokenProcessPool:
-                raise WorkerCrashError() from None
-    finally:
-        _SHARED = None
-    return counting.global_tables(graph, orientation.alpha, parts, max_k)
+            workers = 1
+    if workers == 1:
+        parts = [counting.count_roots_global(orientation, range(graph.n),
+                                             max_k)]
+    else:
+        _SHARED = orientation, max_k
+        try:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=context) as pool:
+                parts = list(pool.map(_count_batch, batches))
+        except BrokenProcessPool:
+            raise WorkerCrashError() from None
+        finally:
+            _SHARED = None
+    tables = counting.global_tables(graph, orientation.alpha, parts, max_k)
+    tables.workers = workers
+    return tables

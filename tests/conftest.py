@@ -1,5 +1,6 @@
 """Shared graph builders and reference helpers for the test suite."""
 
+import math
 import random
 
 from cliquecount import Graph
@@ -39,6 +40,15 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
+    return Graph.from_edges(edges, n=n)
+
+
+def random_geometric(n: int, radius: float, seed: int) -> Graph:
+    """``n`` seeded points in the unit square, joined within ``radius``."""
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if math.dist(points[u], points[v]) < radius]
     return Graph.from_edges(edges, n=n)
 
 

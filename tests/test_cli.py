@@ -13,7 +13,7 @@ import pytest
 
 from cliquecount import Graph, cli, count, load_edge_list, sct
 
-from conftest import complete_graph, random_gnp
+from conftest import complete_graph, random_geometric, random_gnp
 from cliquecount import edge_list_text
 
 
@@ -283,6 +283,76 @@ def test_verify_flag_mismatch_exit_code(capsys, triangle_file, monkeypatch):
     assert "verification failed" in err
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sct_golden.txt")
+
+
+def test_verify_checks_the_tables_it_emitted(capsys, monkeypatch):
+    # A wrong C_3 planted in the global count is printed and caught.
+    from cliquecount import parallel
+    counter = parallel.count_global_parallel
+
+    def planted(*args, **kwargs):
+        tables = counter(*args, **kwargs)
+        tables.global_counts[3] += 1
+        return tables
+    monkeypatch.setattr(parallel, "count_global_parallel", planted)
+    code, out, err = run_cli(capsys, "count", GOLDEN, "--verify")
+    assert code == 3
+    assert "3,28\n" in out
+    assert err.splitlines()[-1] == \
+        "verification failed: global C_3: expected 27, got 28"
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--max-k", "3"], ["--max-k", "3", "--per-edge"],
+    ["--max-k", "3", "--per-vertex", "--per-edge"], ["--threads", "2"]])
+def test_verify_passes_and_counts_once(capsys, monkeypatch, flags):
+    from cliquecount import counting, parallel
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    calls = []
+    counter = counting.count
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return counter(*args, **kwargs)
+    monkeypatch.setattr(counting, "count", counted)
+    code, _, err = run_cli(capsys, "count", GOLDEN, *flags, "--verify")
+    assert code == 0, err
+    assert err.splitlines()[-1] == "verification passed"
+    assert len(calls) == 1
+
+
+def test_verify_a_geometric_graph_with_local_tables(capsys, tmp_path):
+    path = write_graph(tmp_path, random_geometric(60, 0.25, 1))
+    code, _, err = run_cli(capsys, "count", path, "--per-vertex",
+                           "--per-edge", "--verify")
+    assert code == 0
+    assert err.splitlines()[-1] == "verification passed"
+
+
+def test_report_threads_is_the_processes_that_counted(capsys, tmp_path,
+                                                      monkeypatch):
+    # Eight threads asked for on two usable CPUs count in two processes;
+    # K2's roots make one range, which is counted in this process.
+    import concurrent.futures
+    from cliquecount import parallel
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "count", GOLDEN, "--threads", "8",
+                         "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["threads"] == 2
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    path = write_graph(tmp_path, complete_graph(2))
+    code, out, _ = run_cli(capsys, "count", path, "--threads", "2",
+                           "--report", str(report))
+    assert code == 0 and out == "1,2\n2,1\n"
+    assert json.loads(report.read_text())["threads"] == 1
+
+
 def test_verify_subcommand(capsys, triangle_file):
     code, out, _ = run_cli(capsys, "verify", triangle_file)
     assert code == 0
@@ -335,7 +405,7 @@ print(json.dumps([code] + sorted(set(%r) & set(sys.modules) - before)))
 """
 WATCHED = ("cliquecount.counting", "cliquecount.sct", "cliquecount.oracle",
            "cliquecount.parallel", "multiprocessing", "concurrent.futures",
-           "numpy.ma")
+           "numpy.ma", "logging")
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
@@ -359,9 +429,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded("count", path, "--per-vertex", "--per-edge",
                   "--output", out) == counts - {"cliquecount.parallel"}
     assert (tmp_path / "out.csv").read_text() == one
-    # Only a count across workers loads the fork pool.
+    # Only a count across workers loads the fork pool, and with it
+    # logging, which concurrent.futures imports.
     assert loaded("count", path, "--threads", "2", "--output", out) == \
-        counts | {"multiprocessing", "concurrent.futures"}
+        counts | {"multiprocessing", "concurrent.futures", "logging"}
     assert (tmp_path / "out.csv").read_text() == one
 
 

@@ -475,11 +475,10 @@ def test_local_counts_never_run_the_reference_walker(monkeypatch):
     assert _local_counts(got) == _local_counts(want)
 
 
-def test_threads_with_local_mode_warns_and_runs_sequential(caplog):
+def test_threads_with_local_mode_runs_sequential():
     g = random_gnp(12, 0.5, 1300)
-    with caplog.at_level("WARNING"):
-        t = count(g, per_vertex=True, threads=4)
-    assert "single-threaded" in caplog.text
+    t = count(g, per_vertex=True, threads=4)
+    assert t.workers == 1
     ref = count(g, per_vertex=True)
     assert t.global_counts == ref.global_counts
     assert [t.vertex_row(v) for v in range(g.n)] == \

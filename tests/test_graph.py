@@ -1,6 +1,7 @@
 import gc
 import gzip
 import io
+import pathlib
 import tracemalloc
 from unittest import mock
 
@@ -414,6 +415,19 @@ def test_load_accepts_bytes_and_streams(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(text)
     assert load_edge_list(str(path)).m == 2
+
+
+def test_load_accepts_path_objects(tmp_path):
+    # A pathlib.Path, plain or gzipped, reads as its str path does.
+    golden = pathlib.Path(__file__).parent / "data" / "sct_golden.txt"
+    gz = tmp_path / "sct_golden.txt.gz"
+    gz.write_bytes(gzip.compress(golden.read_bytes()))
+    for path in (golden, gz):
+        want = load_edge_list(str(path))
+        got = load_edge_list(path)
+        assert got == want
+        assert list(got.id_map.items()) == list(want.id_map.items())
+    assert want.m == 34
 
 
 def test_neighbors_examples():

@@ -5,7 +5,7 @@ import pytest
 from cliquecount import (SizeLimitError, compare, count,
                          enumerate_all_cliques)
 
-from conftest import complete_graph, random_gnp
+from conftest import complete_graph, random_geometric, random_gnp
 
 
 def test_triangle_census():
@@ -88,3 +88,30 @@ def test_tally_only_mode_stores_no_cliques():
     census = enumerate_all_cliques(complete_graph(5), store_cliques=False)
     assert census.cliques is None
     assert census.global_count(5) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_geometric_graphs_match_the_oracle(seed):
+    # 60 points joined within 0.25: maximum cliques of eight or more,
+    # counted global-only and local, for every k and up to 4.
+    g = random_geometric(60, 0.25, seed)
+    census = enumerate_all_cliques(g, store_cliques=False)
+    assert census.max_clique_size() >= 8
+    for max_k in (None, 4):
+        for tables in (count(g, max_k=max_k),
+                       count(g, max_k=max_k, per_vertex=True, per_edge=True)):
+            assert tables.max_k == max_k
+            verdict = compare(census, tables)
+            assert verdict, (max_k, verdict.detail)
+            want = census.global_counts[:None if max_k is None else max_k + 1]
+            assert tables.global_counts == want
+
+
+def test_compare_checks_only_up_to_the_tables_max_k():
+    g = complete_graph(6)
+    census = enumerate_all_cliques(g, store_cliques=False)
+    tables = count(g, max_k=3, per_vertex=True, per_edge=True)
+    assert compare(census, tables)
+    tables.per_vertex.flat[tables.per_vertex.offsets[2] + 3] += 1
+    verdict = compare(census, tables)
+    assert not verdict and "vertex 2, c_3" in verdict.detail

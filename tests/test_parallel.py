@@ -58,11 +58,12 @@ def test_parallel_fast_counters():
 
 
 def test_parallel_empty_graph(monkeypatch):
-    # Two usable CPUs, so that the pool, with no roots to cut, runs.
+    # Two usable CPUs, yet no roots to cut: at least one worker counts.
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     g = empty_graph(0)
     tables = count_global_parallel(g, degeneracy_orient(g), workers=2)
     assert tables.global_counts == [0]
+    assert tables.workers == 1
 
 
 def test_workers_must_be_positive():
@@ -99,13 +100,16 @@ def test_pool_size_is_bounded(monkeypatch):
     o = degeneracy_orient(g)
     tables = count_global_parallel(g, o, workers=10_000)
     assert tables.global_counts == count(g, orientation=o).global_counts
+    assert tables.workers == 3
     # Fewer batches than usable CPUs: of K2's two roots, the one without
-    # out-neighbours has no work and joins the other's range.
+    # out-neighbours has no work and joins the other's range, which is
+    # counted in this process.
     pair = complete_graph(2)
     tables = count_global_parallel(pair, degeneracy_orient(pair),
                                    workers=10_000)
     assert tables.global_counts == [0, 2, 1]
-    assert RecordingPool.sizes == [3, 1]
+    assert tables.workers == 1
+    assert RecordingPool.sizes == [3]
 
 
 @pytest.mark.parametrize("n_batches", [1, 2, 3, 8, 50])
