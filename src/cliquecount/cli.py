@@ -478,6 +478,9 @@ def main(argv=None) -> int:
     except CliqueCountError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_ERROR
     except BrokenPipeError:
         return EXIT_ERROR
 

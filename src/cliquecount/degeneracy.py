@@ -9,11 +9,11 @@ order bounds each out-neighborhood by the degeneracy alpha, which is
 what keeps the clique-tree subproblems small. ``count``, ``verify`` and
 ``inspect-sct`` run it: the clique tree, and so every tree dump and the
 report's tree shape, follows this exact order, so it stays a sequential
-peel. It keeps one level per residual degree. Levels at or below the
-running core are min-heaps of ids; levels above it are plain lists,
-turned into heaps only when the core rises to them, which all rises
-together do in O(n + m). Nothing is removed from above the core, so the
-lists change the work and not the order. The result keeps only arrays:
+peel. It files only the vertices at or below the running core, in one
+min-heap of ids per residual degree; a vertex above the core is found by
+a numpy scan of the live degrees when the core rises to its degree.
+Nothing is removed from above the core, so leaving it unfiled changes
+the work and not the order. The result keeps only arrays:
 the order (int32), the core numbers (int64) and the out-CSR; there is no
 rank array, since the count reads only the out-CSR.
 
@@ -86,22 +86,21 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
 
     A bucket queue indexed by residual degree, after Batagelj and
     Zaversnik (2003), in which only the levels at or below the running
-    core are min-heaps of vertex ids, so that ties go to the lowest id.
-    Every level above the core is a plain list. The lists start out
-    holding every vertex, filed by degree in id order. A neighbor whose
-    degree drops to d is pushed on heap d when d is at most the core, and
-    appended to list d otherwise; the entry left behind is stale and
-    dropped when popped or read. A removal lowers the minimum residual
-    degree by at most one, so the scan steps back one level after each.
+    core are kept, each a min-heap of vertex ids, so that ties go to the
+    lowest id. A neighbor whose degree drops to d is pushed on heap d when
+    d is at most the core; above the core only its degree is written. The
+    entry left behind is stale and dropped when popped. A removal lowers
+    the minimum residual degree by at most one, so the scan steps back
+    one level after each.
 
     Once no heap up to the core holds a live entry, the minimum residual
-    degree is above the core. The core then rises to the next level whose
-    list holds a vertex of that degree: those vertices, sorted, become the
-    level's heap, and the lists of the levels passed over, which hold no
-    live vertex, are dropped. Each level turns from list to heap at most
-    once, and a vertex enters a list once initially and then once per
-    decrement, so all rises together read O(n + m) entries. A vertex of
-    residual degree d is never removed while a live vertex of lower
+    degree is above the core. One scan of the live vertices' degrees then
+    finds it, c, which is the new core: the vertices of degree c,
+    ascending, become level c's heap, and the levels passed over start
+    empty. The live ids are an int32 array, compacted at each scan. After
+    a rise to c every live vertex has at least c live neighbors, so at
+    most 2m / c remain, and the scans total O(n + m log alpha). A vertex
+    of residual degree d is never removed while a live vertex of lower
     degree exists, and every live vertex at or below the core sits in its
     level's heap, so the order is exactly that of one min-heap per level:
     minimum degree first, lowest id on ties. The core is the running
@@ -115,14 +114,11 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     n = graph.n
     offsets = graph._offsets
     neighbors = graph._neighbors
-    deg = np.diff(offsets).tolist()
-    # Levels hold these ints rather than the fresh ones of each tolist(),
-    # so stale entries keep no int of their own alive.
-    vertex = list(range(n))
-    levels = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, d in zip(vertex, deg):
-        levels[d].append(v)
+    deg = np.diff(offsets)
+    live = np.arange(n, dtype=np.int32)
+    levels = []
     # Buffer views index to and store Python ints.
+    deg_at = memoryview(deg)
     bound_at = memoryview(offsets)
     order = np.empty(n, dtype=np.int32)
     order_at = memoryview(order)
@@ -130,50 +126,47 @@ def degeneracy_orient(graph: Graph) -> DegeneracyOrientation:
     out_degree_at = memoryview(out_offsets[1:])
     push = heapq.heappush
     pop = heapq.heappop
-    rise_at = [0]
-    rise_to = [0]
-    core = 0
+    rise_at = []
+    rise_to = []
+    # Below every degree, so that the first removal starts with a rise.
+    core = -1
     d = 0
     for position in range(n):
         while True:
             if d > core:
-                # No live vertex at or below the core: rise to the next
-                # level that holds one, dropping the empty levels between.
-                while True:
-                    core += 1
-                    live = [u for u in levels[core] if deg[u] == core]
-                    levels[core] = live
-                    if live:
-                        break
-                live.sort()
+                # No live vertex at or below the core: rise to the least
+                # live degree, whose vertices, ascending, form its heap.
+                live = live[deg[live] >= 0]
+                degrees = deg[live]
+                d = int(degrees.min())
+                levels.extend([] for _ in range(core + 1, d))
+                levels.append(live[degrees == d].tolist())
+                core = d
                 rise_at.append(position)
                 rise_to.append(core)
-                d = core
             bucket = levels[d]
             if not bucket:
                 d += 1
             else:
                 v = pop(bucket)
-                if deg[v] == d:
+                if deg_at[v] == d:
                     break
-        # A removed vertex keeps degree -1, so no level entry matches it.
-        deg[v] = -1
+        # A removed vertex keeps degree -1, so no heap entry matches it.
+        deg_at[v] = -1
         order_at[position] = v
         out_degree_at[v] = d
         for u in neighbors[bound_at[v]:bound_at[v + 1]].tolist():
-            du = deg[u]
+            du = deg_at[u]
             if du > 0:
                 du -= 1
-                deg[u] = du
+                deg_at[u] = du
                 if du <= core:
-                    push(levels[du], vertex[u])
-                else:
-                    levels[du].append(vertex[u])
+                    push(levels[du], u)
         if d:
             d -= 1
-    alpha = core
-    # The lists need not share the peak with the tail's arrays.
-    del deg, levels, vertex
+    alpha = max(core, 0)
+    # The heaps need not share the peak with the tail's arrays.
+    del deg, deg_at, live, levels
 
     core_numbers = np.empty(n, dtype=np.int64)
     core_numbers[order] = np.repeat(rise_to, np.diff(rise_at + [n]))

@@ -220,6 +220,18 @@ def test_failed_output_leaves_no_file(capsys, tmp_path, monkeypatch):
     assert (out_dir / "counts.csv").read_text() == "old\n"
 
 
+def test_out_of_memory_is_one_line(capsys, triangle_file, monkeypatch):
+    from cliquecount import counting
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(counting, "count", exhausted)
+    code, out, err = run_cli(capsys, "count", triangle_file)
+    assert code == 1
+    assert err.splitlines() == ["error: out of memory"]
+    assert "Traceback" not in out + err
+
+
 def test_report_to_a_directory_is_one_line(capsys, tmp_path, triangle_file):
     code, out, err = run_cli(capsys, "count", triangle_file,
                              "--report", str(tmp_path))

@@ -88,8 +88,8 @@ def test_orientation_invariants_random(seed):
 
 def staircase_graph(top: int = 8, tail: int = 30) -> Graph:
     """Disjoint K2 ... Ktop, then a ``tail``-vertex path: the whole path
-    goes at core 1, then the core rises once per clique, through a level 2
-    that still lists the path's removed vertices."""
+    goes at core 1, then the core rises one level at a time, once per
+    clique from K3 on."""
     edges, base = [], 0
     for size in range(2, top + 1):
         edges += [(base + i, base + j)
@@ -117,6 +117,27 @@ def networkx_cores(g: Graph) -> list[int]:
     gx.add_edges_from(g.edges())
     cores = nx.core_number(gx)
     return [cores[v] for v in range(g.n)]
+
+
+def test_core_jumps_over_empty_levels():
+    # K9, K5, a 400-vertex path, then 5 isolated vertices: the core starts
+    # at 0 and rises to 1, 4 and 8, passing over levels that hold no vertex.
+    edges, base = [], 0
+    for size in (9, 5):
+        edges += [(base + i, base + j)
+                  for i in range(size) for j in range(i + 1, size)]
+        base += size
+    edges += [(base + i, base + i + 1) for i in range(399)]
+    g = Graph.from_edges(edges, n=base + 405)
+    o = degeneracy_orient(g)
+    ref_order, ref_alpha = quadratic_peel(g)
+    assert o.alpha == ref_alpha == 8
+    assert o.order.tolist() == ref_order
+    assert (o.out_offsets.tolist(), o.out_targets.tolist()) == out_csr_of(g, ref_order)
+    cores = networkx_cores(g)
+    assert sorted(set(cores)) == [0, 1, 4, 8]
+    assert o.core_numbers.tolist() == cores
+    assert core_numbers(g).tolist() == cores
 
 
 @pytest.mark.parametrize("seed", range(8))
